@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: build, run the full test suite, rehearse an interrupted
 # experiment sweep (crash + resume must reproduce the clean run byte for
-# byte), chaos-soak the serving daemon with faults armed (plain, quantized,
-# and adaptive), TSan the concurrent serving paths, ASan the
+# byte), check the CLI rejects unknown flags, chaos-soak the serving daemon
+# with faults armed (plain and adaptive), TSan the concurrent serving paths, ASan the
 # checkpoint/resume parsers, and UBSan the adaptation arithmetic.
 #
 # Usage: scripts/ci.sh
@@ -38,18 +38,6 @@ echo "===== fault stage: serve tests with injection armed ====="
 # EnvVarArmsTheHarness test stops being skipped).
 EALGAP_FAULTS="nn.predict.nan:every=7,io.write.fail:p=0.5:seed=5" \
   "./$BUILD_DIR/tests/fault_injection_test"
-
-echo "===== quant stage: int8 parity suite on every SIMD backend ====="
-# The int8 serve path's core promise is bit-identical predictions across
-# kernel backends; tier-1 already ran the suite under scalar and native
-# dispatch, this pins each backend explicitly (the in-process cross-backend
-# tests re-run under each pin, so an sse2-vs-avx2 divergence cannot hide
-# behind the host's widest ISA).
-for simd in scalar sse2 avx2; do
-  echo "----- quant parity: EALGAP_SIMD=$simd -----"
-  EALGAP_SIMD="$simd" "./$BUILD_DIR/tests/quant_kernel_test"
-  EALGAP_SIMD="$simd" "./$BUILD_DIR/tests/quant_parity_test"
-done
 
 echo "===== interrupt-resume stage: crash a sweep, resume it, diff vs clean ====="
 # Leg 1 — journal resume. A tiny sweep with io.write.fail armed so the
@@ -103,6 +91,18 @@ fi
 cmp "$RESUME_TMP/clean.ckpt" "$RESUME_TMP/resumed.ckpt"
 echo "train resume: interrupted+resumed checkpoint byte-identical to clean"
 
+echo "===== CLI stage: unknown flags are rejected ====="
+# A flag the subcommand does not accept must exit 2 naming it, never run
+# with the flag silently ignored. --quant is a removed serving flag: a
+# stale script passing it must fail loudly.
+rc=0
+"$TOOL" serve --quant > /dev/null 2>&1 || rc=$?
+if [[ "$rc" -ne 2 ]]; then
+  echo "FAIL: ealgap_tool serve --quant exited $rc, want 2" >&2
+  exit 1
+fi
+echo "unknown flags: serve --quant rejected with exit 2"
+
 echo "===== chaos stage: fault-armed daemon soak ====="
 # A short soak of the sharded serving daemon with the overload and crash
 # sites armed on top of the load generator's own burst phases: queues
@@ -115,16 +115,6 @@ EALGAP_FAULTS="daemon.queue.full:p=0.05:seed=11,daemon.shard.crash:p=0.01:seed=1
   "$TOOL" daemon --shards 3 --ticks 200 --days 40 --epochs 0 \
   --state-dir "$RESUME_TMP/daemon_state" | tail -n 2
 echo "daemon soak: fault-armed run exited clean with full attribution"
-
-# The same soak serving through the int8 path, with nn.quant.drift armed on
-# top: a forced drift trip mid-soak must degrade that shard's wrapper to
-# float serving (sticky, attributed in the drift-guard table) while the
-# fleet keeps full request attribution — and crashed shards must come back
-# quantized (the restart path re-wraps the reloaded checkpoint).
-EALGAP_FAULTS="daemon.queue.full:p=0.05:seed=11,daemon.shard.crash:p=0.01:seed=13,nn.quant.drift:every=97:max=2" \
-  "$TOOL" daemon --shards 3 --ticks 200 --days 40 --epochs 0 --quant \
-  --state-dir "$RESUME_TMP/daemon_state_quant" | tail -n 3
-echo "daemon soak: quantized fault-armed run exited clean with full attribution"
 
 # The adaptation soak: test-time adaptation on, with every serve.adapt.*
 # failure site armed (poisoned validation loss, forced rejection, micro-fit
@@ -195,9 +185,8 @@ echo "===== UBSan: adaptation + serving arithmetic paths ====="
 UBSAN_BUILD_DIR="${UBSAN_BUILD_DIR:-build-ubsan}"
 cmake -B "$UBSAN_BUILD_DIR" -S . -G Ninja -DEALGAP_SANITIZE=undefined
 cmake --build "$UBSAN_BUILD_DIR" -j --target \
-  daemon_test robustness_test fault_injection_test quant_parity_test
-for t in daemon_test robustness_test fault_injection_test \
-         quant_parity_test; do
+  daemon_test robustness_test fault_injection_test
+for t in daemon_test robustness_test fault_injection_test; do
   echo "----- UBSan: $t -----"
   "./$UBSAN_BUILD_DIR/tests/$t"
 done
@@ -211,7 +200,6 @@ if [[ "${EALGAP_CI_BENCH:-0}" == "1" ]]; then
   for pair in "micro_tensor_ops:BENCH_tensor_ops.json" \
               "micro_serve:BENCH_serve.json" \
               "micro_daemon:BENCH_daemon.json" \
-              "micro_quant:BENCH_quant.json" \
               "micro_adapt:BENCH_adapt.json"; do
     target="${pair%%:*}"
     baseline="${pair##*:}"

@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "nn/loss.h"
-#include "nn/quant.h"
 #include "nn/serialize.h"
 
 namespace ealgap {
@@ -524,41 +523,6 @@ Status NeuralForecaster::PredictSampleInto(const data::WindowSample& sample,
     (*out)[0] = std::numeric_limits<double>::quiet_NaN();
   }
   return Status::OK();
-}
-
-// --- Int8 inference packs ---------------------------------------------------
-
-Result<int64_t> NeuralForecaster::PackQuantized() {
-  if (!fitted_) return Status::FailedPrecondition("PackQuantized before Fit");
-  return nn::quant::PackLinears(*module());
-}
-
-namespace {
-/// CRC32 of a whole file's bytes — the key tying a quant-pack cache to the
-/// exact checkpoint it was derived from.
-Result<uint32_t> FileCrc32(const std::string& path) {
-  EALGAP_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return Crc32(bytes);
-}
-}  // namespace
-
-Status NeuralForecaster::SaveQuantPack(const std::string& pack_path,
-                                       const std::string& checkpoint_path) {
-  if (!fitted_) {
-    return Status::FailedPrecondition("SaveQuantPack before Fit");
-  }
-  EALGAP_ASSIGN_OR_RETURN(uint32_t crc, FileCrc32(checkpoint_path));
-  return nn::quant::SavePackCache(*module(), pack_path, crc);
-}
-
-Status NeuralForecaster::LoadQuantPack(const std::string& pack_path,
-                                       const std::string& checkpoint_path) {
-  if (!fitted_) {
-    return Status::FailedPrecondition(
-        "LoadQuantPack before Fit/LoadCheckpoint");
-  }
-  EALGAP_ASSIGN_OR_RETURN(uint32_t crc, FileCrc32(checkpoint_path));
-  return nn::quant::LoadPackCache(*module(), pack_path, crc);
 }
 
 // --- Checkpointing ----------------------------------------------------------

@@ -60,22 +60,6 @@ class NeuralForecaster : public Forecaster {
   /// path's fitted flag.
   Status LoadCheckpoint(const std::string& path);
 
-  /// Builds the int8 inference packs for every Linear in the module tree
-  /// (nn/quant.cc; idempotent — repacking replaces the packs). Requires a
-  /// fitted model. Returns the number of packed layers. The packs are only
-  /// consulted inside a quant::ScopedQuantMode with gradients off, so a
-  /// packed model trains and float-serves exactly as before.
-  Result<int64_t> PackQuantized();
-
-  /// Pack-cache round trip, keyed to the checkpoint file the packs were
-  /// derived from via its CRC32: LoadQuantPack REJECTS a cache whose
-  /// recorded source CRC differs from `checkpoint_path`'s current bytes
-  /// (stale packs are never silently repacked or served).
-  Status SaveQuantPack(const std::string& pack_path,
-                       const std::string& checkpoint_path);
-  Status LoadQuantPack(const std::string& pack_path,
-                       const std::string& checkpoint_path);
-
   /// Bounded online fine-tune knobs (serve::AdaptivePredictor). Plain SGD,
   /// deliberately: a micro-fit leaves no optimizer moments behind, so
   /// RestoreParams alone rolls the model back bit-exactly.

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace ealgap {
@@ -54,6 +55,17 @@ bool Flags::GetBool(const std::string& name, bool def) const {
   if (it == values_.end()) return def;
   const std::string& v = it->second;
   return v == "true" || v == "1" || v == "yes" || v == "on";
+}
+
+std::vector<std::string> Flags::Unknown(
+    const std::vector<std::string>& accepted) const {
+  std::vector<std::string> unknown;
+  for (const auto& [name, value] : values_) {
+    if (std::find(accepted.begin(), accepted.end(), name) == accepted.end()) {
+      unknown.push_back(name);
+    }
+  }
+  return unknown;
 }
 
 }  // namespace ealgap

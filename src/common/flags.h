@@ -29,6 +29,11 @@ class Flags {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Names of the flags given that are not in `accepted`, sorted. Callers
+  /// that reject unknown flags use this instead of silently ignoring them.
+  std::vector<std::string> Unknown(
+      const std::vector<std::string>& accepted) const;
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;

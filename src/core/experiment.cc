@@ -127,7 +127,7 @@ Result<std::unique_ptr<Forecaster>> MakeForecaster(const std::string& scheme,
   return Status::InvalidArgument("unknown scheme: " + scheme);
 }
 
-Result<std::unique_ptr<Forecaster>> LoadForecasterFromCheckpoint(
+Result<std::unique_ptr<NeuralForecaster>> LoadForecasterFromCheckpoint(
     const std::string& path) {
   // Peek the header to learn which forecaster wrote the file; the model
   // itself re-validates the full header in LoadCheckpoint.
@@ -159,7 +159,7 @@ Result<std::unique_ptr<Forecaster>> LoadForecasterFromCheckpoint(
                                    ", which has no checkpoint loader");
   }
   EALGAP_RETURN_IF_ERROR(model->LoadCheckpoint(path));
-  return std::unique_ptr<Forecaster>(std::move(model));
+  return model;
 }
 
 Result<SchemeResult> RunScheme(const std::string& scheme,

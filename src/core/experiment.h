@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "baselines/forecaster.h"
+#include "baselines/neural.h"
 #include "core/journal.h"
 #include "data/cleaning.h"
 #include "data/dataset.h"
@@ -53,7 +54,7 @@ Result<std::unique_ptr<Forecaster>> MakeForecaster(const std::string& scheme,
 /// constructs the matching forecaster ("EALGAP", "GRU", "LSTM", "RNN",
 /// "EVL", "ST-Norm"), and loads configuration plus parameters. Corrupted
 /// or unknown-model files yield a Status error.
-Result<std::unique_ptr<Forecaster>> LoadForecasterFromCheckpoint(
+Result<std::unique_ptr<NeuralForecaster>> LoadForecasterFromCheckpoint(
     const std::string& path);
 
 /// One table cell group: a scheme evaluated on the test range. A scheme

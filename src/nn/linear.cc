@@ -1,10 +1,7 @@
 #include "nn/linear.h"
 
-#include <utility>
-
 #include "common/logging.h"
 #include "nn/init.h"
-#include "nn/quant.h"
 
 namespace ealgap {
 namespace nn {
@@ -21,33 +18,12 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng,
   }
 }
 
-// Out of line: ~Linear (and the unique_ptr<QuantPack> it destroys) needs
-// the complete QuantPack type, which the header only forward-declares.
-Linear::~Linear() = default;
-
-void Linear::set_quant_pack(std::unique_ptr<quant::QuantPack> pack) {
-  quant_pack_ = std::move(pack);
-}
-
 Var Linear::Forward(const Var& x) const {
   const Shape& in_shape = x.value().shape();
   EALGAP_CHECK_GE(in_shape.size(), 1u);
   EALGAP_CHECK_EQ(in_shape.back(), in_features_)
       << "Linear(" << in_features_ << ") got " << ShapeToString(in_shape);
   const int64_t rows = x.value().numel() / in_features_;
-  if (quant_pack_ != nullptr && quant::ModeEnabled() && !GradEnabled()) {
-    // Int8 path. An undefined result means the activation block was
-    // all-zero or non-finite — fall through to the float matmul, which
-    // handles both exactly (and identically in every backend).
-    Tensor qout = quant::QuantLinearForward(
-        *quant_pack_, x.value(),
-        bias_.defined() ? bias_.value().data() : nullptr);
-    if (qout.defined()) {
-      Shape out_shape(in_shape.begin(), in_shape.end() - 1);
-      out_shape.push_back(out_features_);
-      return Reshape(Var::Leaf(std::move(qout)), std::move(out_shape));
-    }
-  }
   Var flat = Reshape(x, {rows, in_features_});
   Var out = MatMul(flat, weight_);
   if (bias_.defined()) {

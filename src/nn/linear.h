@@ -1,18 +1,12 @@
 #ifndef EALGAP_NN_LINEAR_H_
 #define EALGAP_NN_LINEAR_H_
 
-#include <memory>
-
 #include "common/rng.h"
 #include "nn/module.h"
 #include "tensor/autograd.h"
 
 namespace ealgap {
 namespace nn {
-
-namespace quant {
-struct QuantPack;
-}  // namespace quant
 
 /// Fully-connected layer: y = x W + b.
 ///
@@ -22,12 +16,8 @@ class Linear : public Module {
  public:
   Linear(int64_t in_features, int64_t out_features, Rng& rng,
          bool has_bias = true);
-  ~Linear() override;
 
-  /// x: (..., in_features) -> (..., out_features). When an int8 pack is
-  /// attached, quant mode is on, and gradients are off, the matmul runs
-  /// through the int32-accumulation quant kernels instead (nn/quant.cc);
-  /// training and float inference are untouched.
+  /// x: (..., in_features) -> (..., out_features).
   Var Forward(const Var& x) const;
 
   int64_t in_features() const { return in_features_; }
@@ -35,16 +25,11 @@ class Linear : public Module {
   const Var& weight() const { return weight_; }
   const Var& bias() const { return bias_; }
 
-  /// Int8 inference pack; null until quant::PackLinears (nn/quant.cc).
-  const quant::QuantPack* quant_pack() const { return quant_pack_.get(); }
-  void set_quant_pack(std::unique_ptr<quant::QuantPack> pack);
-
  private:
   int64_t in_features_;
   int64_t out_features_;
   Var weight_;  // (in, out)
   Var bias_;    // (out) — undefined when has_bias = false
-  std::unique_ptr<quant::QuantPack> quant_pack_;
 };
 
 }  // namespace nn

@@ -1,7 +1,6 @@
 #ifndef EALGAP_NN_MODULE_H_
 #define EALGAP_NN_MODULE_H_
 
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,16 +35,6 @@ class Module {
 
   /// Total number of scalar parameters.
   int64_t NumParameters() const;
-
-  /// Depth-first traversal of this module and every registered child with
-  /// hierarchical names ("" for the root, "gru.w_z" style below). The int8
-  /// pack layer (nn/quant.cc) uses this to reach every Linear without the
-  /// Module base knowing layer types.
-  void VisitModules(const std::function<void(const std::string&, Module*)>& fn,
-                    const std::string& prefix = "");
-  void VisitModules(
-      const std::function<void(const std::string&, const Module*)>& fn,
-      const std::string& prefix = "") const;
 
  protected:
   /// Registers a trainable tensor; returns the parameter Var.

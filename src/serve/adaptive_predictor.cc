@@ -53,8 +53,6 @@ void AdaptStats::Accumulate(const AdaptStats& other) {
   rollbacks_error += other.rollbacks_error;
   freezes += other.freezes;
   unfreezes += other.unfreezes;
-  repacks += other.repacks;
-  repack_failures += other.repack_failures;
   shadow_forwards += other.shadow_forwards;
   shadow_failures += other.shadow_failures;
   frozen = frozen || other.frozen;
@@ -72,32 +70,17 @@ void AdaptStats::Accumulate(const AdaptStats& other) {
   frozen_log_err += other.frozen_log_err;
 }
 
-AdaptivePredictor::AdaptivePredictor(Forecaster* serving,
-                                     QuantizedForecaster* quant,
-                                     NeuralForecaster* trainee,
+AdaptivePredictor::AdaptivePredictor(NeuralForecaster* model,
                                      AdaptOptions options)
-    : serving_(serving),
-      quant_(quant),
-      trainee_(trainee),
-      options_(options) {}
+    : model_(model), options_(options) {}
 
 Result<std::unique_ptr<AdaptivePredictor>> AdaptivePredictor::Create(
-    Forecaster* serving, AdaptOptions options) {
-  if (serving == nullptr) {
+    NeuralForecaster* model, AdaptOptions options) {
+  if (model == nullptr) {
     return Status::InvalidArgument("AdaptivePredictor needs a model");
   }
-  auto* quant = dynamic_cast<QuantizedForecaster*>(serving);
-  NeuralForecaster* trainee =
-      quant != nullptr ? quant->inner()
-                       : dynamic_cast<NeuralForecaster*>(serving);
-  if (trainee == nullptr) {
-    return Status::InvalidArgument(
-        serving->name() +
-        " is not a gradient-trained forecaster; AdaptivePredictor needs a "
-        "NeuralForecaster (optionally behind a QuantizedForecaster)");
-  }
-  if (!serving->SupportsStreaming()) {
-    return Status::InvalidArgument(serving->name() +
+  if (!model->SupportsStreaming()) {
+    return Status::InvalidArgument(model->name() +
                                    " does not support streaming prediction");
   }
   if (options.holdout < 1 || options.min_window <= options.holdout ||
@@ -122,31 +105,31 @@ Result<std::unique_ptr<AdaptivePredictor>> AdaptivePredictor::Create(
         "cusum_h > 0, sigma_floor > 0, ewma_alpha in (0,1])");
   }
   std::unique_ptr<AdaptivePredictor> wrapper(
-      new AdaptivePredictor(serving, quant, trainee, options));
+      new AdaptivePredictor(model, options));
   // The frozen A/B arm is the weights at wrapper creation; capturing also
   // verifies the model is fitted.
-  EALGAP_ASSIGN_OR_RETURN(wrapper->frozen_params_, trainee->CaptureParams());
+  EALGAP_ASSIGN_OR_RETURN(wrapper->frozen_params_, model->CaptureParams());
   return wrapper;
 }
 
 Result<std::unique_ptr<AdaptivePredictor>> AdaptivePredictor::Create(
-    std::unique_ptr<Forecaster> serving, AdaptOptions options) {
+    std::unique_ptr<NeuralForecaster> model, AdaptOptions options) {
   EALGAP_ASSIGN_OR_RETURN(std::unique_ptr<AdaptivePredictor> wrapper,
-                          Create(serving.get(), options));
-  wrapper->owned_serving_ = std::move(serving);
+                          Create(model.get(), options));
+  wrapper->owned_model_ = std::move(model);
   return wrapper;
 }
 
-std::string AdaptivePredictor::name() const { return serving_->name(); }
+std::string AdaptivePredictor::name() const { return model_->name(); }
 
 bool AdaptivePredictor::SupportsStreaming() const {
-  return serving_->SupportsStreaming();
+  return model_->SupportsStreaming();
 }
 
 Status AdaptivePredictor::Fit(const data::SlidingWindowDataset& dataset,
                               const data::StepRanges& split,
                               const TrainConfig& config) {
-  return serving_->Fit(dataset, split, config);
+  return model_->Fit(dataset, split, config);
 }
 
 Result<std::vector<double>> AdaptivePredictor::Predict(
@@ -249,11 +232,11 @@ void AdaptivePredictor::CompletePending(const data::WindowSample& next) {
 Status AdaptivePredictor::FrozenForward(const data::WindowSample& sample,
                                         std::vector<double>* out,
                                         Status* forward) {
-  EALGAP_RETURN_IF_ERROR(trainee_->RestoreParams(frozen_params_));
-  *forward = trainee_->PredictSampleInto(sample, out);
+  EALGAP_RETURN_IF_ERROR(model_->RestoreParams(frozen_params_));
+  *forward = model_->PredictSampleInto(sample, out);
   // The live weights must come back even when the forward failed — the
   // frozen arm serving live would corrupt every later step.
-  return trainee_->RestoreParams(live_params_);
+  return model_->RestoreParams(live_params_);
 }
 
 Status AdaptivePredictor::PredictSampleInto(const data::WindowSample& sample,
@@ -272,7 +255,7 @@ Status AdaptivePredictor::PredictSampleInto(const data::WindowSample& sample,
     }
   }
 
-  Status st = serving_->PredictSampleInto(sample, out);
+  Status st = model_->PredictSampleInto(sample, out);
   if (!st.ok()) {
     // No prediction to pair with the next observation.
     pending_adapted_.clear();
@@ -316,14 +299,14 @@ Result<AdaptEvent> AdaptivePredictor::RunAttempt() {
   // Snapshot first: every exit below other than commit restores it, so a
   // failed adaptation is bit-exactly invisible.
   using ParamMap = std::map<std::string, Tensor>;
-  EALGAP_ASSIGN_OR_RETURN(ParamMap snapshot, trainee_->CaptureParams());
+  EALGAP_ASSIGN_OR_RETURN(ParamMap snapshot, model_->CaptureParams());
   std::vector<data::WindowSample> train(
       ring_.begin(), ring_.end() - options_.holdout);
   std::vector<data::WindowSample> holdout(
       ring_.end() - options_.holdout, ring_.end());
 
   auto rollback = [&](AdaptOutcome outcome) -> Result<AdaptEvent> {
-    EALGAP_RETURN_IF_ERROR(trainee_->RestoreParams(snapshot));
+    EALGAP_RETURN_IF_ERROR(model_->RestoreParams(snapshot));
     switch (outcome) {
       case AdaptOutcome::kRejected: ++stats_.rollbacks_reject; break;
       case AdaptOutcome::kNan: ++stats_.rollbacks_nan; break;
@@ -343,18 +326,18 @@ Result<AdaptEvent> AdaptivePredictor::RunAttempt() {
   };
 
   Result<double> val_before =
-      trainee_->EvaluateSamplesLoss(holdout, options_.micro.batch_size);
+      model_->EvaluateSamplesLoss(holdout, options_.micro.batch_size);
   if (!val_before.ok()) return rollback(AdaptOutcome::kError);
   stats_.last_val_before = *val_before;
 
   if (fault::Armed() && fault::ShouldFail("serve.adapt.error")) {
     return rollback(AdaptOutcome::kError);
   }
-  Status fit = trainee_->MicroFit(train, options_.micro);
+  Status fit = model_->MicroFit(train, options_.micro);
   if (!fit.ok()) return rollback(AdaptOutcome::kError);
 
   Result<double> val_after =
-      trainee_->EvaluateSamplesLoss(holdout, options_.micro.batch_size);
+      model_->EvaluateSamplesLoss(holdout, options_.micro.batch_size);
   if (!val_after.ok()) return rollback(AdaptOutcome::kError);
   double after = *val_after;
   if (fault::Armed() && fault::ShouldFail("serve.adapt.nan")) {
@@ -373,25 +356,13 @@ Result<AdaptEvent> AdaptivePredictor::RunAttempt() {
   // creation-time snapshot; the live snapshot backs the shadow swap.
   ++stats_.commits;
   failed_streak_ = 0;
-  EALGAP_ASSIGN_OR_RETURN(live_params_, trainee_->CaptureParams());
+  EALGAP_ASSIGN_OR_RETURN(live_params_, model_->CaptureParams());
   diverged_ = true;
   if (frozen_) {
     frozen_ = false;
     stats_.frozen = false;
     ++stats_.unfreezes;
     event.unfroze = true;
-  }
-  // Quant interplay: the packs were built from the pre-adaptation weights
-  // and are now stale. Rebuild them (attributed), or degrade to float —
-  // a committed adaptation never serves a stale pack.
-  if (quant_ != nullptr && !quant_->tripped()) {
-    Result<int64_t> packed = trainee_->PackQuantized();
-    if (packed.ok()) {
-      ++stats_.repacks;
-    } else {
-      ++stats_.repack_failures;
-      quant_->TripFloatFallback();
-    }
   }
   event.outcome = AdaptOutcome::kCommitted;
   return event;

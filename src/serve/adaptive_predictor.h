@@ -10,7 +10,6 @@
 
 #include "baselines/neural.h"
 #include "common/result.h"
-#include "serve/quantized_forecaster.h"
 
 namespace ealgap {
 namespace serve {
@@ -47,7 +46,7 @@ struct AdaptOptions {
   int cooldown = 32;
   NeuralForecaster::MicroFitConfig micro;
 
-  // --- freeze + hysteresis (mirrors the quant drift guard) ---
+  // --- freeze + hysteresis ---
   /// Consecutive rolled-back attempts that trip the sticky freeze.
   int freeze_after = 3;
   /// Observed steps a freeze must age before one probe attempt is allowed;
@@ -91,8 +90,6 @@ struct AdaptStats {
   int64_t rollbacks_error = 0;   ///< micro-fit/infra failure
   int64_t freezes = 0;
   int64_t unfreezes = 0;         ///< successful probes out of a freeze
-  int64_t repacks = 0;           ///< int8 packs rebuilt after a commit
-  int64_t repack_failures = 0;   ///< commit whose repack failed -> float trip
   int64_t shadow_forwards = 0;   ///< frozen-arm forwards actually run
   int64_t shadow_failures = 0;   ///< frozen-arm forwards that errored (skipped)
   bool frozen = false;
@@ -137,12 +134,11 @@ struct AdaptStats {
 };
 
 /// Test-time adaptation layer for the serving chain. Implements Forecaster
-/// and wraps either a fitted NeuralForecaster or a QuantizedForecaster, so
-/// it slots between ResilientPredictor/OnlinePredictor and the model
-/// exactly like the quant wrapper (and stacks on top of it):
+/// and wraps a fitted NeuralForecaster, so it slots between
+/// ResilientPredictor/OnlinePredictor and the model:
 ///
 ///   ResilientPredictor -> OnlinePredictor -> AdaptivePredictor
-///       -> [QuantizedForecaster ->] NeuralForecaster
+///       -> NeuralForecaster
 ///
 /// Serving path (PredictSampleInto): consecutive samples carry last step's
 /// realized observation (`x[:, L-1]` of the next sample), so the wrapper
@@ -158,10 +154,7 @@ struct AdaptStats {
 /// micro-fits on the ring minus a held-out tail, re-validates on the tail,
 /// and commits only if the validation loss strictly improved — otherwise
 /// the snapshot is restored bit-exactly. Repeated failures trip a sticky
-/// freeze with probe-based hysteresis recovery. On commit over a quant
-/// wrapper the int8 packs are invalidated and rebuilt (attributed); a
-/// failed repack trips the quant guard's float fallback — a stale pack is
-/// never served.
+/// freeze with probe-based hysteresis recovery.
 ///
 /// Fault sites: serve.adapt.delay (attempt stall), serve.adapt.error
 /// (micro-fit failure), serve.adapt.nan (poisoned validation loss),
@@ -172,14 +165,13 @@ struct AdaptStats {
 /// phases them; the serve tool interleaves them on one thread).
 class AdaptivePredictor : public Forecaster {
  public:
-  /// `serving` must be a fitted NeuralForecaster or a QuantizedForecaster
-  /// over one, and must outlive the wrapper.
+  /// `model` must be fitted and must outlive the wrapper.
   static Result<std::unique_ptr<AdaptivePredictor>> Create(
-      Forecaster* serving, AdaptOptions options = {});
+      NeuralForecaster* model, AdaptOptions options = {});
 
   /// Owning variant (the daemon's shards hand their model over wholesale).
   static Result<std::unique_ptr<AdaptivePredictor>> Create(
-      std::unique_ptr<Forecaster> serving, AdaptOptions options = {});
+      std::unique_ptr<NeuralForecaster> model, AdaptOptions options = {});
 
   std::string name() const override;
   bool SupportsStreaming() const override;
@@ -194,10 +186,10 @@ class AdaptivePredictor : public Forecaster {
       const data::WindowSample& sample) override;
 
   /// Serve step: backfill + detector update for the previous sample, then
-  /// the wrapped forward (quantized when wrapped), then the shadow frozen
-  /// forward on cadence. The adapt ring's clones live on the heap (not the
-  /// caller's arena), so adaptation mode trades the zero-allocation serve
-  /// contract for the ring — by design.
+  /// the wrapped forward, then the shadow frozen forward on cadence. The
+  /// adapt ring's clones live on the heap (not the caller's arena), so
+  /// adaptation mode trades the zero-allocation serve contract for the
+  /// ring — by design.
   Status PredictSampleInto(const data::WindowSample& sample,
                            std::vector<double>* out) override;
 
@@ -211,13 +203,8 @@ class AdaptivePredictor : public Forecaster {
   const AdaptOptions& options() const { return options_; }
   bool frozen() const { return frozen_; }
 
-  /// The float model that is micro-fine-tuned (the quant wrapper's inner
-  /// model when serving quantized).
-  NeuralForecaster* trainee() { return trainee_; }
-  /// The wrapped serving model (quant wrapper or the trainee itself).
-  Forecaster* serving() { return serving_; }
-  /// Non-null when serving through an int8 wrapper.
-  QuantizedForecaster* quant() { return quant_; }
+  /// The wrapped model: it serves and is micro-fine-tuned.
+  NeuralForecaster* model() { return model_; }
 
   /// Persists the detector + freeze state (CRC'd, atomic) so a restarted
   /// shard resumes its drift posture along with the adapted weights in the
@@ -228,8 +215,7 @@ class AdaptivePredictor : public Forecaster {
   Status LoadState(const std::string& path);
 
  private:
-  AdaptivePredictor(Forecaster* serving, QuantizedForecaster* quant,
-                    NeuralForecaster* trainee, AdaptOptions options);
+  AdaptivePredictor(NeuralForecaster* model, AdaptOptions options);
 
   /// Backfills `pending_` from the next step's sample, updates the
   /// detector and A/B accumulators, and pushes it into the ring.
@@ -243,10 +229,8 @@ class AdaptivePredictor : public Forecaster {
                        std::vector<double>* out, Status* forward);
   Result<AdaptEvent> RunAttempt();
 
-  Forecaster* serving_;            // owned iff owned_serving_ holds it
-  std::unique_ptr<Forecaster> owned_serving_;
-  QuantizedForecaster* quant_;     // non-null when serving quantized
-  NeuralForecaster* trainee_;
+  NeuralForecaster* model_;        // owned iff owned_model_ holds it
+  std::unique_ptr<NeuralForecaster> owned_model_;
   AdaptOptions options_;
 
   AdaptStats stats_;

@@ -175,13 +175,13 @@ class Daemon {
   double wall_seconds_ = 0.0;
 
   // Per-tick scratch, reused.
-  std::vector<uint8_t> stalled_;
+  std::vector<unsigned char> stalled_;
   std::vector<std::vector<Request>> pending_;  // popped predicts per shard
   std::vector<int> active_;                    // shards with pending work
   std::vector<double> deadline_ms_;            // propagated budget per active
-  std::vector<uint8_t> serve_ok_;
+  std::vector<unsigned char> serve_ok_;
   std::vector<double> serve_ms_;
-  std::vector<uint8_t> has_live_;  // active shard has unexpired predicts
+  std::vector<unsigned char> has_live_;  // active shard has unexpired predicts
 };
 
 }  // namespace serve

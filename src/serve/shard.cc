@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "baselines/neural.h"
-#include "serve/quantized_forecaster.h"
 
 namespace ealgap {
 namespace serve {
@@ -12,15 +11,10 @@ namespace serve {
 namespace {
 
 /// The checkpointable model behind a served Forecaster: the adaptive
-/// wrapper checkpoints its trainee (detector state has its own file), a
-/// quantized wrapper its inner float model (the packs are derived state,
-/// rebuilt from the checkpoint).
+/// wrapper checkpoints its inner model (detector state has its own file).
 NeuralForecaster* CheckpointableModel(Forecaster* model) {
   if (auto* adaptive = dynamic_cast<AdaptivePredictor*>(model)) {
-    return adaptive->trainee();
-  }
-  if (auto* quant = dynamic_cast<QuantizedForecaster*>(model)) {
-    return quant->inner();
+    return adaptive->model();
   }
   return dynamic_cast<NeuralForecaster*>(model);
 }

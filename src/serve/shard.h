@@ -23,7 +23,7 @@ namespace serve {
 /// plain values (no heap payload) so the queue cells never allocate:
 /// an Observe carries the feed step it reports and the daemon resolves
 /// the actual counts from the shard's feed at service time.
-enum class RequestKind : uint8_t { kObserve = 0, kPredict = 1 };
+enum class RequestKind : unsigned char { kObserve = 0, kPredict = 1 };
 
 struct Request {
   RequestKind kind = RequestKind::kPredict;
@@ -214,11 +214,8 @@ class Shard {
 
   ResilientPredictor* resilient() { return resilient_.get(); }
   OnlinePredictor* predictor() { return predictor_.get(); }
-  /// The served model (e.g. for quantized-serving telemetry). May be
+  /// Non-null when serving through a test-time-adaptation wrapper. May be
   /// replaced by a restart-from-checkpoint; do not hold across ticks.
-  Forecaster* model() { return model_.get(); }
-  /// Non-null when serving through a test-time-adaptation wrapper. Same
-  /// lifetime caveat as model().
   AdaptivePredictor* adaptive() {
     return dynamic_cast<AdaptivePredictor*>(model_.get());
   }

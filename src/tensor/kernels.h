@@ -22,17 +22,6 @@ namespace kernels {
 
 enum class Backend { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 
-/// Shape threshold for the fused int8 GEMM (quant_gemm_dequant_rows): up
-/// to this reduction depth the fused kernel's per-column-tile walk over
-/// the weight pack stays L1-resident ((k/2) pack cache lines live across
-/// one tile) and its int16 activation-row expansion fits on the stack.
-/// Callers should use the fused kernel when k <= kQuantFusedMaxK and the
-/// streaming pair (quant_gemm_rows + dequant_bias_row) otherwise — deeper
-/// reductions make the tile walk thrash L1 while the streaming kernel
-/// reads the pack sequentially exactly once. Both paths are bit-identical,
-/// so the choice is purely a performance policy.
-inline constexpr int64_t kQuantFusedMaxK = 512;
-
 /// "scalar", "sse2", "avx2".
 const char* BackendName(Backend b);
 
@@ -103,36 +92,6 @@ struct KernelTable {
   /// element keeps the exact scalar accumulation order.
   void (*matmul_rows)(const float* pa, const float* pb, float* po, int64_t i0,
                       int64_t i1, int64_t k, int64_t n);
-
-  // --- int8 inference family (DESIGN.md §8g) ---
-
-  /// max |p[i]| over [0, n); n == 0 -> 0. Order-insensitive (NaN-free
-  /// input), used for dynamic per-tensor activation scales.
-  float (*absmax_block)(const float* p, int64_t n);
-  /// q[i] = round-nearest-even(x[i] * inv_scale) clamped to [-127, 127].
-  void (*quantize_s8)(const float* x, float inv_scale, int8_t* q, int64_t n);
-  /// Rows [i0, i1) of the int8 (m,k)x(k,n) product with exact int32
-  /// accumulation; wpack is the pair-interleaved int16 weight pack
-  /// (nn/quant.cc). Overwrites acc rows (no zero-init needed). k must be
-  /// <= nn::quant::kQuantMaxK so int32 cannot overflow.
-  void (*quant_gemm_rows)(const int8_t* aq, const int16_t* wpack,
-                          int32_t* acc, int64_t i0, int64_t i1, int64_t k,
-                          int64_t n);
-  /// Fused rows [i0, i1) of the int8 GEMM + dequant epilogue: o[i*n+j] =
-  /// float(acc_ij) * (a_scale * w_scale[j]) [+ bias[j]], with the int32
-  /// accumulator tile held in registers (no acc buffer). Bit-identical to
-  /// quant_gemm_rows followed by dequant_bias_row; the serve forward uses
-  /// this when k <= kQuantFusedMaxK (tall-activation layers) and the
-  /// streaming pair above for deeper reductions (decoder GEMVs).
-  void (*quant_gemm_dequant_rows)(const int8_t* aq, const int16_t* wpack,
-                                  float a_scale, const float* w_scale,
-                                  const float* bias, float* o, int64_t i0,
-                                  int64_t i1, int64_t k, int64_t n);
-  /// o[j] = float(acc[j]) * (a_scale * w_scale[j]) + bias[j] (bias may be
-  /// null). Fixed per-element rounding tree.
-  void (*dequant_bias_row)(const int32_t* acc, float a_scale,
-                           const float* w_scale, const float* bias, float* o,
-                           int64_t n);
 };
 
 /// The active table (resolved once: CPU detection + EALGAP_SIMD override).

@@ -47,18 +47,11 @@ inline bool Aligned64(const void* p) {
   return (reinterpret_cast<std::uintptr_t>(p) & 63u) == 0;
 }
 
-/// Backend adapter: same arithmetic as B, aligned loads/stores (float and
-/// int32/int16-pair accesses alike — the quant kernels below dispatch on
-/// the same provable-alignment rule as the float ones).
+/// Backend adapter: same arithmetic as B, aligned loads/stores.
 template <class B>
 struct AlignedIO : B {
   static typename B::V Load(const float* p) { return B::LoadA(p); }
   static void Store(float* p, typename B::V v) { B::StoreA(p, v); }
-  static typename B::VI ILoad(const int32_t* p) { return B::ILoadA(p); }
-  static void IStore(int32_t* p, typename B::VI v) { B::IStoreA(p, v); }
-  static typename B::VI ILoadPairs(const int16_t* p) {
-    return B::ILoadPairsA(p);
-  }
 };
 
 // --- elementwise op functors (vector and scalar form via backend B) ---
@@ -400,235 +393,6 @@ void MatMulRows(const float* pa, const float* pb, float* po, int64_t i0,
   }
 }
 
-// --- int8 inference kernels (DESIGN.md §8g) ---
-
-/// Max of |p[i]| over [0, n); n == 0 returns 0. Like MaxBlock, max over
-/// NaN-free reals is order-insensitive, so the lane tree is free and the
-/// result is bit-identical across backends.
-template <class B>
-float AbsMaxBlock(const float* p, int64_t n) {
-  if (n <= 0) return 0.f;
-  int64_t i = 0;
-  float m;
-  if (n >= B::kWidth) {
-    typename B::V acc = OpAbs::Run<B>(B::Load(p));
-    for (i = B::kWidth; i + B::kWidth <= n; i += B::kWidth) {
-      acc = B::SMax(acc, OpAbs::Run<B>(B::Load(p + i)));
-    }
-    float lanes[B::kWidth];
-    B::Store(lanes, acc);
-    m = lanes[0];
-    for (int j = 1; j < B::kWidth; ++j) m = VScalar::SMax(m, lanes[j]);
-  } else {
-    m = OpAbs::Run<VScalar>(p[0]);
-    i = 1;
-  }
-  for (; i < n; ++i) m = VScalar::SMax(m, OpAbs::Run<VScalar>(p[i]));
-  return m;
-}
-
-/// q[i] = round-nearest-even(x[i] * inv_scale) clamped to [-127, 127], as
-/// int8. Per-element pure: the vector body runs the exact operation
-/// sequence of vec::QuantizeOneS8, the remainder runs QuantizeOneS8
-/// itself.
-template <class B>
-void QuantizeRowS8(const float* x, float inv_scale, int8_t* q, int64_t n) {
-  const typename B::V vinv = B::Set1(inv_scale);
-  const typename B::V vlo = B::Set1(-127.f);
-  const typename B::V vhi = B::Set1(127.f);
-  int64_t i = 0;
-  for (; i + B::kWidth <= n; i += B::kWidth) {
-    typename B::V t = B::RoundNearest(B::Mul(B::Load(x + i), vinv));
-    t = B::SMin(B::SMax(t, vlo), vhi);
-    B::StoreQ8(q + i, B::ToInt(t));
-  }
-  for (; i < n; ++i) q[i] = vec::QuantizeOneS8(x[i], inv_scale);
-}
-
-/// Rows [i0, i1) of the quantized (m,k)x(k,n) product with EXACT int32
-/// accumulation:
-///
-///   acc[i*n + j] = sum_p aq[i*k + p] * w[p][j]
-///
-/// aq is the int8-quantized activation matrix; wpack is the weight pack in
-/// pair-interleaved int16 layout (nn/quant.cc): ceil(k/2) rows of n (lo,
-/// hi) pairs, pair p2 of column j holding (w[2*p2][j], w[2*p2+1][j]) —
-/// [V]PMADDWD's native operand shape, so each step multiplies two k-slices
-/// into every output column at once. Integer sums are order-insensitive,
-/// so scalar/SSE2/AVX2 and any chunking of rows agree bit for bit; the
-/// caller bounds k (<= kQuantMaxK) so the accumulator cannot overflow.
-template <class B>
-void QuantGemmRows(const int8_t* aq, const int16_t* wpack, int32_t* acc,
-                   int64_t i0, int64_t i1, int64_t k, int64_t n) {
-  constexpr int W = B::kWidth;
-  const int64_t pairs = (k + 1) / 2;
-  for (int64_t i = i0; i < i1; ++i) {
-    const int8_t* arow = aq + i * k;
-    int32_t* orow = acc + i * n;
-    int64_t j = 0;
-    for (; j + W <= n; j += W) B::IStore(orow + j, B::IZero());
-    for (; j < n; ++j) orow[j] = 0;
-    for (int64_t p2 = 0; p2 < pairs; ++p2) {
-      const int32_t a0 = arow[2 * p2];
-      const int32_t a1 = (2 * p2 + 1 < k) ? arow[2 * p2 + 1] : 0;
-      const uint32_t pair =
-          (static_cast<uint32_t>(static_cast<uint16_t>(a0))) |
-          (static_cast<uint32_t>(static_cast<uint16_t>(a1)) << 16);
-      const int16_t* wrow = wpack + p2 * (2 * n);
-      const typename B::VI va = B::ISet1(static_cast<int32_t>(pair));
-      j = 0;
-      for (; j + W <= n; j += W) {
-        B::IStore(orow + j, B::MAddPairsAcc(B::ILoad(orow + j), va,
-                                            B::ILoadPairs(wrow + 2 * j)));
-      }
-      for (; j < n; ++j) {
-        orow[j] = orow[j] + (a0 * wrow[2 * j] + a1 * wrow[2 * j + 1]);
-      }
-    }
-  }
-}
-
-/// Dequantization epilogue: o[j] = float(acc[j]) * (a_scale * w_scale[j])
-/// [+ bias[j]]. Fixed three-rounding expression tree per element (scale
-/// product, int->float product, bias add), identical in vector and scalar
-/// form.
-template <class B>
-void DequantBiasRow(const int32_t* acc, float a_scale, const float* w_scale,
-                    const float* bias, float* o, int64_t n) {
-  const typename B::V va = B::Set1(a_scale);
-  int64_t i = 0;
-  if (bias != nullptr) {
-    for (; i + B::kWidth <= n; i += B::kWidth) {
-      const typename B::V s = B::Mul(va, B::Load(w_scale + i));
-      const typename B::V m = B::Mul(B::IToF(B::ILoad(acc + i)), s);
-      B::Store(o + i, B::Add(m, B::Load(bias + i)));
-    }
-    for (; i < n; ++i) {
-      const float s = a_scale * w_scale[i];
-      o[i] = static_cast<float>(acc[i]) * s + bias[i];
-    }
-  } else {
-    for (; i + B::kWidth <= n; i += B::kWidth) {
-      const typename B::V s = B::Mul(va, B::Load(w_scale + i));
-      B::Store(o + i, B::Mul(B::IToF(B::ILoad(acc + i)), s));
-    }
-    for (; i < n; ++i) {
-      const float s = a_scale * w_scale[i];
-      o[i] = static_cast<float>(acc[i]) * s;
-    }
-  }
-}
-
-/// Fused rows [i0, i1) of the quantized GEMM + dequantization epilogue:
-///
-///   o[i*n + j] = float(sum_p aq[i*k + p] * w[p][j]) * (a_scale *
-///                w_scale[j]) [+ bias[j]]
-///
-/// Same pack layout and int32 accumulation as QuantGemmRows and the SAME
-/// per-element dequant expression tree as DequantBiasRow — the fused
-/// result is bit-identical to the two-kernel composition. The fusion is
-/// the serve-path fast lane: the accumulator tile lives in registers for
-/// the whole k loop (QuantGemmRows streams an int32 row through memory
-/// once per weight pair, and the separate epilogue re-reads it), so
-/// tall-activation layers (rows = num_regions) stop paying the acc
-/// round trip and the per-row epilogue dispatch.
-template <class B>
-void QuantGemmDequantRows(const int8_t* aq, const int16_t* wpack,
-                          float a_scale, const float* w_scale,
-                          const float* bias, float* o, int64_t i0, int64_t i1,
-                          int64_t k, int64_t n) {
-  constexpr int W = B::kWidth;
-  const int64_t pairs = (k + 1) / 2;
-  // Small-k fast lane (covers every tall-activation serve shape, where k
-  // is the feature width or hidden size): sign-extend the activation row
-  // to int16 once per row so each weight-pair broadcast is a single
-  // 4-byte load-and-broadcast instead of two scalar byte loads plus
-  // shift/or/insert per pair per column tile. Sign extension preserves
-  // the low-16-bit pattern exactly, so the int32 sums are unchanged.
-  // Deeper reductions (which callers route to the streaming kernels per
-  // the kQuantFusedMaxK policy) keep the scalar pair assembly so this
-  // kernel stays correct for any k.
-  int16_t aq16[kQuantFusedMaxK + 1];
-  const bool expand = k <= kQuantFusedMaxK;
-  for (int64_t i = i0; i < i1; ++i) {
-    const int8_t* arow = aq + i * k;
-    float* orow = o + i * n;
-    if (expand) {
-      for (int64_t x = 0; x < k; ++x) aq16[x] = arow[x];
-      if (k & 1) aq16[k] = 0;
-    }
-    int64_t j = 0;
-    // 4-tile column blocks: one activation-pair broadcast feeds four
-    // multiply-accumulates and the four pack loads per pair are
-    // consecutive memory — ~30% fewer instructions per MAC than the
-    // single-tile loop below, which handles the remainder. Integer sums
-    // per output column are identical either way.
-    if (expand) {
-      for (; j + 4 * W <= n; j += 4 * W) {
-        typename B::VI acc0 = B::IZero();
-        typename B::VI acc1 = B::IZero();
-        typename B::VI acc2 = B::IZero();
-        typename B::VI acc3 = B::IZero();
-        for (int64_t p2 = 0; p2 < pairs; ++p2) {
-          int32_t pair;
-          std::memcpy(&pair, aq16 + 2 * p2, sizeof(pair));
-          const typename B::VI av = B::ISet1(pair);
-          const int16_t* wr = wpack + p2 * (2 * n) + 2 * j;
-          acc0 = B::MAddPairsAcc(acc0, av, B::ILoadPairs(wr));
-          acc1 = B::MAddPairsAcc(acc1, av, B::ILoadPairs(wr + 2 * W));
-          acc2 = B::MAddPairsAcc(acc2, av, B::ILoadPairs(wr + 4 * W));
-          acc3 = B::MAddPairsAcc(acc3, av, B::ILoadPairs(wr + 6 * W));
-        }
-        const typename B::V vs = B::Set1(a_scale);
-        const typename B::VI accs[4] = {acc0, acc1, acc2, acc3};
-        for (int t = 0; t < 4; ++t) {
-          const int64_t jt = j + t * W;
-          const typename B::V s = B::Mul(vs, B::Load(w_scale + jt));
-          const typename B::V m = B::Mul(B::IToF(accs[t]), s);
-          B::Store(orow + jt,
-                   bias != nullptr ? B::Add(m, B::Load(bias + jt)) : m);
-        }
-      }
-    }
-    for (; j + W <= n; j += W) {
-      typename B::VI acc = B::IZero();
-      if (expand) {
-        for (int64_t p2 = 0; p2 < pairs; ++p2) {
-          int32_t pair;
-          std::memcpy(&pair, aq16 + 2 * p2, sizeof(pair));
-          acc = B::MAddPairsAcc(acc, B::ISet1(pair),
-                                B::ILoadPairs(wpack + p2 * (2 * n) + 2 * j));
-        }
-      } else {
-        for (int64_t p2 = 0; p2 < pairs; ++p2) {
-          const int32_t a0 = arow[2 * p2];
-          const int32_t a1 = (2 * p2 + 1 < k) ? arow[2 * p2 + 1] : 0;
-          const uint32_t pair =
-              (static_cast<uint32_t>(static_cast<uint16_t>(a0))) |
-              (static_cast<uint32_t>(static_cast<uint16_t>(a1)) << 16);
-          acc = B::MAddPairsAcc(acc, B::ISet1(static_cast<int32_t>(pair)),
-                                B::ILoadPairs(wpack + p2 * (2 * n) + 2 * j));
-        }
-      }
-      const typename B::V s = B::Mul(B::Set1(a_scale), B::Load(w_scale + j));
-      const typename B::V m = B::Mul(B::IToF(acc), s);
-      B::Store(orow + j, bias != nullptr ? B::Add(m, B::Load(bias + j)) : m);
-    }
-    for (; j < n; ++j) {
-      int32_t acc = 0;
-      for (int64_t p2 = 0; p2 < pairs; ++p2) {
-        const int32_t a0 = arow[2 * p2];
-        const int32_t a1 = (2 * p2 + 1 < k) ? arow[2 * p2 + 1] : 0;
-        const int16_t* wrow = wpack + p2 * (2 * n);
-        acc += a0 * wrow[2 * j] + a1 * wrow[2 * j + 1];
-      }
-      const float s = a_scale * w_scale[j];
-      orow[j] = bias != nullptr ? static_cast<float>(acc) * s + bias[j]
-                                : static_cast<float>(acc) * s;
-    }
-  }
-}
-
 // --- contiguous copy ---
 
 /// memcpy in kernel clothing: routes Tensor::Slice / CopyFrom row copies
@@ -774,62 +538,6 @@ void MatMulRowsD(const float* pa, const float* pb, float* po, int64_t i0,
 }
 
 template <class B>
-void QuantizeRowS8D(const float* x, float inv_scale, int8_t* q, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(x)) {
-      return QuantizeRowS8<AlignedIO<B>>(x, inv_scale, q, n);
-    }
-  }
-  QuantizeRowS8<B>(x, inv_scale, q, n);
-}
-
-/// The vector accesses of QuantGemmRows walk acc at j multiples of kWidth
-/// (4j bytes) with a row stride of 4n bytes, and wpack at 4j bytes with a
-/// pair-row stride of 4n bytes — so all of them stay aligned iff both
-/// bases are 64-byte aligned and n % 16 == 0 (the same rule as
-/// MatMulRowsD). aq is consumed through ISet1 broadcasts — no requirement.
-template <class B>
-void QuantGemmRowsD(const int8_t* aq, const int16_t* wpack, int32_t* acc,
-                    int64_t i0, int64_t i1, int64_t k, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(wpack) && Aligned64(acc) && (n & 15) == 0) {
-      return QuantGemmRows<AlignedIO<B>>(aq, wpack, acc, i0, i1, k, n);
-    }
-  }
-  QuantGemmRows<B>(aq, wpack, acc, i0, i1, k, n);
-}
-
-/// Same walk as QuantGemmRowsD for wpack and o (strided at 2j/4j bytes,
-/// row strides 4n bytes) plus the packed per-column vectors — aligned
-/// iff every base is 64-byte aligned and n % 16 == 0.
-template <class B>
-void QuantGemmDequantRowsD(const int8_t* aq, const int16_t* wpack,
-                           float a_scale, const float* w_scale,
-                           const float* bias, float* o, int64_t i0,
-                           int64_t i1, int64_t k, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(wpack) && Aligned64(w_scale) && Aligned64(o) &&
-        (bias == nullptr || Aligned64(bias)) && (n & 15) == 0) {
-      return QuantGemmDequantRows<AlignedIO<B>>(aq, wpack, a_scale, w_scale,
-                                                bias, o, i0, i1, k, n);
-    }
-  }
-  QuantGemmDequantRows<B>(aq, wpack, a_scale, w_scale, bias, o, i0, i1, k, n);
-}
-
-template <class B>
-void DequantBiasRowD(const int32_t* acc, float a_scale, const float* w_scale,
-                     const float* bias, float* o, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(acc) && Aligned64(w_scale) && Aligned64(o) &&
-        (bias == nullptr || Aligned64(bias))) {
-      return DequantBiasRow<AlignedIO<B>>(acc, a_scale, w_scale, bias, o, n);
-    }
-  }
-  DequantBiasRow<B>(acc, a_scale, w_scale, bias, o, n);
-}
-
-template <class B>
 KernelTable MakeTable(Backend backend) {
   KernelTable t;
   t.backend = backend;
@@ -868,11 +576,6 @@ KernelTable MakeTable(Backend backend) {
   t.normal_pdf_row = &NormalPdfRowD<B>;
   t.copy = &CopyK<B>;
   t.matmul_rows = &MatMulRowsD<B>;
-  t.absmax_block = &AbsMaxBlock<B>;
-  t.quantize_s8 = &QuantizeRowS8D<B>;
-  t.quant_gemm_rows = &QuantGemmRowsD<B>;
-  t.quant_gemm_dequant_rows = &QuantGemmDequantRowsD<B>;
-  t.dequant_bias_row = &DequantBiasRowD<B>;
   return t;
 }
 

@@ -30,7 +30,6 @@
 #include "core/ealgap.h"
 #include "data/dataset.h"
 #include "serve/online_predictor.h"
-#include "serve/quantized_forecaster.h"
 #include "serve/resilient_predictor.h"
 #include "tensor/tensor.h"
 
@@ -291,78 +290,6 @@ TEST_F(AllocGuardServeTest, DegradedSteadyStateServesWithZeroAllocations) {
   EXPECT_EQ(allocs, 0) << "degraded serve loop hit the heap; arena "
                           "high-water "
                        << predictor->arena()->high_water_bytes() << " bytes";
-}
-
-TEST_F(AllocGuardServeTest, QuantizedSteadyStateServesWithZeroAllocations) {
-  // The int8 path adds per-step scratch (quantized activations, int32
-  // accumulators) and scheduled float parity probes; all of it must come
-  // from the serve arena / reused thread-local capacity. check_every=4
-  // with 8 warmup steps guarantees probes run both before (sizing the
-  // probe buffer) and inside the counted window. The empty spec pins the
-  // harness disarmed: the probes' extra inner forwards shift any ambient
-  // fault's phase (ci.sh arms nn.predict.nan suite-wide), and this test
-  // asserts the chain stays healthy.
-  fault::ScopedFaults no_faults("");
-  const int saved_threads = GetNumThreads();
-  for (int threads : {1, 8}) {
-    SetNumThreads(threads);
-    serve::QuantOptions opt;
-    opt.check_every = 4;
-    opt.drift_threshold = 1e9;  // probes run, guard never trips
-    auto quant = serve::QuantizedForecaster::Create(model_, opt);
-    ASSERT_TRUE(quant.ok()) << quant.status().ToString();
-    auto predictor = serve::OnlinePredictor::Create(quant->get(), *dataset_,
-                                                    split_->test_begin);
-    ASSERT_TRUE(predictor.ok()) << predictor.status().ToString();
-    serve::ResilientPredictor served(&*predictor);
-    const std::int64_t allocs = CountReplayAllocations(&served, 8, 240);
-    EXPECT_FALSE(served.degradation().degraded());
-    EXPECT_GT((*quant)->stats().quant_steps, 0)
-        << "int8 path never ran; the test proved nothing";
-    EXPECT_GT((*quant)->stats().probes, 0);
-    EXPECT_FALSE((*quant)->tripped());
-    if (!alloc_count::HookLinked()) {
-      SetNumThreads(saved_threads);
-      GTEST_SKIP() << "allocation hook not linked (sanitizer build)";
-    }
-    EXPECT_EQ(allocs, 0)
-        << "quantized serve loop hit the heap (threads=" << threads
-        << "); arena high-water " << predictor->arena()->high_water_bytes()
-        << " bytes";
-  }
-  SetNumThreads(saved_threads);
-}
-
-TEST_F(AllocGuardServeTest,
-       QuantizedFaultDegradedSteadyStateServesWithZeroAllocations) {
-  // Two faults at once: nn.predict.nan flaps the resilience chain, and a
-  // one-shot nn.quant.drift trips the drift guard mid-window — so the
-  // counted region covers quantized serving, the trip transition, and
-  // post-trip float serving, all of which must stay off the heap.
-  fault::ScopedFaults faults(
-      "nn.predict.nan:every=2,nn.quant.drift:every=101:max=1");
-  serve::QuantOptions opt;
-  opt.check_every = 4;
-  opt.drift_threshold = 1e9;  // only the fault site trips the guard
-  auto quant = serve::QuantizedForecaster::Create(model_, opt);
-  ASSERT_TRUE(quant.ok()) << quant.status().ToString();
-  auto predictor = serve::OnlinePredictor::Create(quant->get(), *dataset_,
-                                                  split_->test_begin);
-  ASSERT_TRUE(predictor.ok()) << predictor.status().ToString();
-  serve::ResilientPredictor served(&*predictor);
-  const std::int64_t allocs = CountReplayAllocations(&served, 8, 240);
-  EXPECT_GT(served.degradation().degraded_steps, 0)
-      << "fault did not exercise the degraded path";
-  EXPECT_TRUE((*quant)->tripped()) << "drift fault did not fire in-window";
-  EXPECT_GT((*quant)->stats().quant_steps, 0);
-  EXPECT_GT((*quant)->stats().float_steps, 0);
-  if (!alloc_count::HookLinked()) {
-    GTEST_SKIP() << "allocation hook not linked (sanitizer build)";
-  }
-  EXPECT_EQ(allocs, 0)
-      << "quantized fault-degraded serve loop hit the heap; arena "
-         "high-water "
-      << predictor->arena()->high_water_bytes() << " bytes";
 }
 
 TEST_F(AllocGuardServeTest, ArenaRewindsToEmptyBetweenSteps) {

@@ -220,6 +220,17 @@ TEST(FlagsTest, MalformedNumberFallsBack) {
   EXPECT_EQ(flags.GetInt("n", 3), 3);
 }
 
+TEST(FlagsTest, UnknownNamesEveryFlagOutsideTheAcceptedSet) {
+  const char* argv[] = {"prog", "--quant", "--n=3", "positional", "--zeta",
+                        "1"};
+  Flags flags(6, argv);
+  EXPECT_EQ(flags.Unknown({"n"}), (std::vector<std::string>{"quant", "zeta"}));
+  EXPECT_TRUE(flags.Unknown({"n", "quant", "zeta"}).empty());
+  // Positionals are not flags: a flag-free command line has nothing unknown.
+  const char* bare[] = {"prog", "positional"};
+  EXPECT_TRUE(Flags(2, bare).Unknown({}).empty());
+}
+
 // --- Time -------------------------------------------------------------------
 
 TEST(TimeTest, KnownDaysOfWeek) {

@@ -39,7 +39,6 @@
 #include "serve/adaptive_predictor.h"
 #include "serve/daemon.h"
 #include "serve/load_gen.h"
-#include "serve/quantized_forecaster.h"
 #include "serve/shard.h"
 
 namespace ealgap {
@@ -180,12 +179,12 @@ struct FleetOptions {
   int checkpoint_every_steps = 8;
   std::string state_root;  ///< empty => in-memory restarts
   bool with_reloader = false;
-  /// Serve every shard through the int8 wrapper; the reloader (when on)
-  /// re-wraps reloaded checkpoints the same way, like the daemon tool.
-  bool quant = false;
-  serve::QuantOptions qopt;
-  /// Stack the test-time-adaptation wrapper on top (of quant when both).
+  /// Serve every shard through the test-time-adaptation wrapper; the
+  /// reloader (when on) re-wraps reloaded checkpoints the same way, like
+  /// the daemon tool.
   bool adapt = false;
+  /// When set, counts the reloader's successful reloads.
+  int* reloads = nullptr;
   serve::AdaptOptions aopt;
 };
 
@@ -245,53 +244,31 @@ std::unique_ptr<serve::Daemon> MakeFleet(const FleetOptions& opt) {
     config.guard.on_gap = serve::RepairPolicy::kImpute;
     config.guard.max_gap_steps = 4096;
     std::unique_ptr<Forecaster> serving_model;
-    serve::ModelReloader reloader = nullptr;
-    if (opt.quant) {
-      auto quant =
-          serve::QuantizedForecaster::Create(std::move(model), opt.qopt);
-      EXPECT_TRUE(quant.ok()) << quant.status().ToString();
-      serving_model = std::move(quant).value();
-      if (opt.with_reloader) {
-        reloader = [qopt = opt.qopt](const std::string& path)
-            -> Result<std::unique_ptr<Forecaster>> {
-          auto loaded = core::LoadForecasterFromCheckpoint(path);
-          if (!loaded.ok()) return loaded.status();
-          auto* neural = dynamic_cast<NeuralForecaster*>(loaded->get());
-          if (neural == nullptr) {
-            return Status::InvalidArgument("reloaded checkpoint not neural");
-          }
-          loaded->release();
-          auto rewrapped = serve::QuantizedForecaster::Create(
-              std::unique_ptr<NeuralForecaster>(neural), qopt);
-          if (!rewrapped.ok()) return rewrapped.status();
-          return std::unique_ptr<Forecaster>(std::move(rewrapped).value());
-        };
-      }
-    } else {
-      serving_model = std::move(model);
-      if (opt.with_reloader) {
-        reloader = [](const std::string& path) {
-          return core::LoadForecasterFromCheckpoint(path);
-        };
-      }
-    }
     if (opt.adapt) {
-      auto adaptive = serve::AdaptivePredictor::Create(
-          std::move(serving_model), opt.aopt);
+      auto adaptive =
+          serve::AdaptivePredictor::Create(std::move(model), opt.aopt);
       EXPECT_TRUE(adaptive.ok()) << adaptive.status().ToString();
       serving_model = std::move(adaptive).value();
-      if (reloader != nullptr) {
-        serve::ModelReloader inner = std::move(reloader);
-        reloader = [inner, aopt = opt.aopt](const std::string& path)
-            -> Result<std::unique_ptr<Forecaster>> {
-          auto loaded = inner(path);
-          if (!loaded.ok()) return loaded.status();
-          auto rewrapped = serve::AdaptivePredictor::Create(
-              std::move(loaded).value(), aopt);
-          if (!rewrapped.ok()) return rewrapped.status();
-          return std::unique_ptr<Forecaster>(std::move(rewrapped).value());
-        };
-      }
+    } else {
+      serving_model = std::move(model);
+    }
+    serve::ModelReloader reloader = nullptr;
+    if (opt.with_reloader) {
+      reloader = [adapt = opt.adapt, aopt = opt.aopt,
+                  reloads = opt.reloads](const std::string& path)
+          -> Result<std::unique_ptr<Forecaster>> {
+        EALGAP_ASSIGN_OR_RETURN(std::unique_ptr<NeuralForecaster> loaded,
+                                core::LoadForecasterFromCheckpoint(path));
+        std::unique_ptr<Forecaster> model;
+        if (adapt) {
+          EALGAP_ASSIGN_OR_RETURN(
+              model, serve::AdaptivePredictor::Create(std::move(loaded), aopt));
+        } else {
+          model = std::move(loaded);
+        }
+        if (reloads != nullptr) ++*reloads;
+        return model;
+      };
     }
     auto shard =
         serve::Shard::Create(std::move(*dataset), std::move(serving_model),
@@ -630,7 +607,7 @@ TEST(DaemonAdaptTest, RejectedAttemptsRollBackBitExactly) {
   auto daemon = MakeFleet(opt);
   auto* adaptive = daemon->shard(0)->adaptive();
   ASSERT_NE(adaptive, nullptr);
-  auto before = adaptive->trainee()->CaptureParams();
+  auto before = adaptive->model()->CaptureParams();
   ASSERT_TRUE(before.ok()) << before.status().ToString();
 
   fault::ScopedFaults faults("serve.adapt.reject:every=1");
@@ -640,7 +617,7 @@ TEST(DaemonAdaptTest, RejectedAttemptsRollBackBitExactly) {
   EXPECT_EQ(report.adapt.rollbacks_reject, report.adapt.attempts);
   ExpectAdaptAttributed(report.adapt);
 
-  auto after = adaptive->trainee()->CaptureParams();
+  auto after = adaptive->model()->CaptureParams();
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   ExpectParamsBitIdentical(*before, *after);
 }
@@ -696,6 +673,8 @@ TEST(DaemonAdaptTest, AdaptFaultSoakAttributesEveryAttempt) {
   opt.aopt.frozen_probe_after = 24;
   opt.state_root = state_root;
   opt.with_reloader = true;
+  int reloads = 0;
+  opt.reloads = &reloads;
   auto daemon = MakeFleet(opt);
   fault::ScopedFaults faults(
       "serve.adapt.nan:every=3,serve.adapt.reject:every=4,"
@@ -710,37 +689,12 @@ TEST(DaemonAdaptTest, AdaptFaultSoakAttributesEveryAttempt) {
   EXPECT_GT(report.adapt.pairs, 0);
   ExpectFullyAttributed(report);
   ExpectAdaptAttributed(report.adapt);
-}
-
-// Satellite: daemon restart + quant re-wrap under an armed drift fault.
-// The crash forces a restart-from-checkpoint whose reloader re-wraps the
-// model in a FRESH int8 wrapper; the still-armed nn.quant.drift fault then
-// trips the new wrapper's guard, which falls back to float serving —
-// fully attributed, never a stale or silently-drifting pack.
-TEST(DaemonAdaptTest, RestartRewrapsQuantAndDriftTripsFloatFallback) {
-  const std::string state_root = ::testing::TempDir() + "/daemon_quant_rewrap";
-  FleetOptions opt;
-  opt.shards = 1;
-  opt.quant = true;
-  opt.qopt.check_every = 8;  // probe often so the trip lands quickly
-  opt.state_root = state_root;
-  opt.with_reloader = true;
-  auto daemon = MakeFleet(opt);
-  fault::ScopedFaults faults(
-      "daemon.shard.crash:every=1:after=20:max=1,nn.quant.drift:every=1");
-  const serve::SloReport report = RunLoad(daemon.get(), 160, 3.0, 3.0);
-  EXPECT_EQ(report.crashes_injected, 1);
-  EXPECT_EQ(report.restarts_from_checkpoint, 1);
-  ExpectFullyAttributed(report);
-
-  // The post-restart wrapper is a new object (the reloader re-wrapped the
-  // reloaded checkpoint) and its guard tripped to float.
-  auto* quant = dynamic_cast<serve::QuantizedForecaster*>(
-      daemon->shard(0)->model());
-  ASSERT_NE(quant, nullptr);
-  EXPECT_TRUE(quant->stats().tripped);
-  EXPECT_GT(quant->stats().float_steps, 0);
-  EXPECT_GT(quant->stats().drift_trips, 0);
+  // Every restart went through the reloader, which re-wrapped the
+  // reloaded checkpoint, so restarted shards keep adapting.
+  EXPECT_EQ(reloads, report.restarts);
+  for (int s = 0; s < daemon->num_shards(); ++s) {
+    EXPECT_NE(daemon->shard(s)->adaptive(), nullptr) << "shard " << s;
+  }
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 //   evaluate  --trips T.csv --stations S.csv --start YYYY-MM-DD --days N
 //             [--regions K] [--scheme EALGAP] [--epochs N] [--save ckpt.txt]
 //             [--train-state path --checkpoint-every K [--resume]]
-//             [--quant]
 //       Runs the full pipeline on a trip feed, trains the scheme, and
 //       reports the test metrics. --save checkpoints the fitted model.
 //       --train-state writes a crash-safe full-training-state snapshot
@@ -32,8 +31,7 @@
 //   serve     --trips T.csv --stations S.csv --start YYYY-MM-DD --days N
 //             --checkpoint ckpt.txt [--regions K] [--seed N]
 //             [--repair reject|hold-last|impute] [--deadline-ms D]
-//             [--recovery K] [--quant] [--quant-check-every N]
-//             [--quant-threshold D] [--quant-pack P.qpack]
+//             [--recovery K] [--adapt [--adapt-* knobs]]
 //       Loads a checkpointed model, seeds an OnlinePredictor at the start
 //       of the test range, and replays the test feed step by step
 //       (predict, then observe the realized counts) through the
@@ -42,20 +40,14 @@
 //       input-guard policy for bad values and gaps; --deadline-ms bounds
 //       the model's answer time (0 = unbounded); --recovery is the
 //       hysteresis: consecutive healthy model answers needed to promote
-//       back from a fallback. --quant serves through the int8 quantized
-//       forward (DESIGN.md §8g) with a float-parity drift guard:
-//       --quant-check-every sets the shadow-probe cadence (0 = off,
-//       default 64), --quant-threshold the max tolerated per-region
-//       relative drift before the sticky float fallback (default 0.5),
-//       and --quant-pack a pack-cache
-//       file keyed to the checkpoint's CRC (stale caches are a hard
-//       error). --adapt serves through the test-time-adaptation wrapper
-//       (DESIGN.md §8h): a per-region CUSUM drift detector over
-//       matched-stat residuals triggers bounded micro-fine-tunes on the
-//       recent window, committed only when held-out validation improves
-//       (otherwise rolled back bit-exactly), with a sticky freeze after
-//       --adapt-freeze-after consecutive failures and probe-based
-//       recovery after --adapt-probe-after observed steps. Knobs:
+//       back from a fallback. --adapt serves through the
+//       test-time-adaptation wrapper (DESIGN.md §8h): a per-region CUSUM
+//       drift detector over matched-stat residuals triggers bounded
+//       micro-fine-tunes on the recent window, committed only when
+//       held-out validation improves (otherwise rolled back bit-exactly),
+//       with a sticky freeze after --adapt-freeze-after consecutive
+//       failures and probe-based recovery after --adapt-probe-after
+//       observed steps. Knobs:
 //       --adapt-cusum-k/-h (detector allowance/threshold),
 //       --adapt-window/-holdout/-min-window (ring sizing),
 //       --adapt-cooldown, --adapt-steps/--adapt-lr (micro-fit), and
@@ -71,7 +63,7 @@
 //             [--ms-per-tick MS] [--model-deadline-ms MS]
 //             [--checkpoint-every K] [--steady-rate X] [--steady-ticks A]
 //             [--burst-rate Y] [--burst-ticks B] [--load-seed S]
-//             [--quant] [--quant-check-every N] [--quant-threshold D]
+//             [--adapt [--adapt-* knobs]]
 //       Overload-safe sharded serving soak (DESIGN.md §8f): builds a
 //       synthetic fleet of N shards (R regions each), fits a small EALGAP
 //       model per shard, and drives T virtual-time ticks of seeded
@@ -82,30 +74,29 @@
 //       attribution, per-region guard quarantines) and the replay digest;
 //       exits non-zero if any request went unattributed. --state-dir
 //       enables on-disk CRC'd checkpoints so restarts rehearse the
-//       recover-from-disk path. --quant serves every shard through the
-//       int8 quantized forward with per-shard drift guards (restarts
-//       re-wrap the reloaded checkpoint). --adapt (same knobs as serve)
-//       adds per-shard test-time adaptation, run single-threaded from the
+//       recover-from-disk path. --adapt (same knobs as serve) adds
+//       per-shard test-time adaptation, run single-threaded from the
 //       supervisor phase; committed adaptations re-save the shard's model
 //       checkpoint and persist the detector state, so quarantine-restarts
-//       resume the adapted weights and drift posture — and with --quant
-//       the int8 packs are rebuilt after every commit (a failed repack
-//       trips the float fallback, never a stale pack). The SLO report
+//       resume the adapted weights and drift posture. The SLO report
 //       folds adaptation attribution across restarts; exit 3 if any
 //       attempt goes unattributed. Arm EALGAP_FAULTS with
 //       daemon.queue.full / daemon.shard.stall / daemon.shard.crash (plus
-//       the nn.* sites, including nn.quant.drift, and the
-//       serve.adapt.* sites) for chaos soaks.
+//       the nn.* and serve.adapt.* sites) for chaos soaks.
+//
+// Every subcommand accepts exactly the flags listed in kSubcommands below;
+// any other flag is an error that names it (exit 2).
 //
 // Exit code 0 on success; errors go to stderr.
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
+#include <initializer_list>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/checksum.h"
 #include "common/flags.h"
@@ -122,7 +113,6 @@
 #include "serve/adaptive_predictor.h"
 #include "serve/daemon.h"
 #include "serve/online_predictor.h"
-#include "serve/quantized_forecaster.h"
 #include "serve/resilient_predictor.h"
 #include "stats/metrics.h"
 
@@ -274,23 +264,6 @@ void PrintMetrics(const std::string& title, const stats::MetricReport& m) {
   table.Print(std::cout);
 }
 
-serve::QuantOptions QuantOptionsFromFlags(const Flags& flags) {
-  serve::QuantOptions opt;
-  opt.check_every = flags.GetInt("quant-check-every", 64);
-  opt.drift_threshold = flags.GetDouble("quant-threshold", 0.5);
-  return opt;
-}
-
-void PrintQuantStats(const serve::QuantStats& s) {
-  TablePrinter qt("int8 quantized serving (drift guard)",
-                  {"quant-steps", "float-steps", "probes", "trips",
-                   "max-drift", "tripped"});
-  qt.AddRow({std::to_string(s.quant_steps), std::to_string(s.float_steps),
-             std::to_string(s.probes), std::to_string(s.drift_trips),
-             TablePrinter::Num(s.max_drift), s.tripped ? "yes" : "no"});
-  qt.Print(std::cout);
-}
-
 serve::AdaptOptions AdaptOptionsFromFlags(const Flags& flags) {
   serve::AdaptOptions opt;
   opt.cusum_k = flags.GetDouble("adapt-cusum-k", opt.cusum_k);
@@ -328,12 +301,11 @@ int PrintAdaptStats(const serve::AdaptStats& s) {
              std::to_string(s.unfreezes), s.frozen ? "yes" : "no"});
   at.Print(std::cout);
   TablePrinter dt("adaptation detail",
-                  {"max-cusum", "val-before", "val-after", "repacks",
-                   "repack-fail", "shadow-fwd", "shadow-fail"});
+                  {"max-cusum", "val-before", "val-after", "shadow-fwd",
+                   "shadow-fail"});
   dt.AddRow({TablePrinter::Num(s.max_cusum),
              TablePrinter::Num(s.last_val_before),
-             TablePrinter::Num(s.last_val_after), std::to_string(s.repacks),
-             std::to_string(s.repack_failures),
+             TablePrinter::Num(s.last_val_after),
              std::to_string(s.shadow_forwards),
              std::to_string(s.shadow_failures)});
   dt.Print(std::cout);
@@ -415,33 +387,6 @@ int Evaluate(const Flags& flags) {
   PrintMetrics("test metrics (" + scheme + ")",
                stats::ComputeMetrics(pred, truth));
 
-  if (flags.GetBool("quant")) {
-    auto* neural = dynamic_cast<NeuralForecaster*>(model->get());
-    if (neural == nullptr) {
-      std::cerr << "error: --quant supports neural schemes only, not "
-                << scheme << "\n";
-      return 1;
-    }
-    auto quant =
-        serve::QuantizedForecaster::Create(neural, QuantOptionsFromFlags(flags));
-    if (!quant.ok()) return Fail(quant.status());
-    std::vector<double> qpred, qtruth;
-    Status qs = (*quant)->PredictRange(prepared.dataset,
-                                       prepared.split.test_begin,
-                                       prepared.split.test_end, &qpred,
-                                       &qtruth);
-    if (!qs.ok()) return Fail(qs);
-    PrintMetrics("test metrics (" + scheme + ", int8)",
-                 stats::ComputeMetrics(qpred, qtruth));
-    double worst = 0.0;
-    for (size_t i = 0; i < pred.size() && i < qpred.size(); ++i) {
-      worst = std::max(worst, std::abs(qpred[i] - pred[i]) /
-                                  std::max(std::abs(pred[i]), 1.0));
-    }
-    std::cout << "int8 vs float: max relative prediction drift "
-              << TablePrinter::Num(worst) << "\n";
-    PrintQuantStats((*quant)->stats());
-  }
   return 0;
 }
 
@@ -556,44 +501,13 @@ int Serve(const Flags& flags) {
   auto model = core::LoadForecasterFromCheckpoint(ckpt);
   if (!model.ok()) return Fail(model.status());
 
-  // --quant: serve through the int8 forward with the drift guard. The
-  // optional pack cache is keyed to the checkpoint file's CRC — loading a
-  // cache built from different checkpoint bytes is a hard error, never a
-  // silent repack.
+  // --adapt: test-time adaptation between the predictor and the model.
+  // The replay loop runs MaybeAdapt after every observe — outside the
+  // timed predict path, like the daemon's supervisor phase.
   Forecaster* serving = model->get();
-  std::unique_ptr<serve::QuantizedForecaster> quant;
-  if (flags.GetBool("quant")) {
-    auto* neural = dynamic_cast<NeuralForecaster*>(model->get());
-    if (neural == nullptr) {
-      std::cerr << "error: --quant requires a neural checkpoint\n";
-      return 1;
-    }
-    auto q = serve::QuantizedForecaster::Create(neural,
-                                                QuantOptionsFromFlags(flags));
-    if (!q.ok()) return Fail(q.status());
-    quant = std::move(q).value();
-    const std::string pack_path = flags.GetString("quant-pack", "");
-    if (!pack_path.empty()) {
-      if (std::ifstream(pack_path).good()) {
-        Status loaded = neural->LoadQuantPack(pack_path, ckpt);
-        if (!loaded.ok()) return Fail(loaded);
-        std::cout << "quantized packs loaded from " << pack_path << "\n";
-      } else {
-        Status saved = neural->SaveQuantPack(pack_path, ckpt);
-        if (!saved.ok()) return Fail(saved);
-        std::cout << "quantized packs written to " << pack_path << "\n";
-      }
-    }
-    serving = quant.get();
-  }
-
-  // --adapt: test-time adaptation between the predictor and the model
-  // (stacks on top of --quant). The replay loop runs MaybeAdapt after
-  // every observe — outside the timed predict path, like the daemon's
-  // supervisor phase.
   std::unique_ptr<serve::AdaptivePredictor> adaptive;
   if (flags.GetBool("adapt")) {
-    auto a = serve::AdaptivePredictor::Create(serving,
+    auto a = serve::AdaptivePredictor::Create(model->get(),
                                               AdaptOptionsFromFlags(flags));
     if (!a.ok()) return Fail(a.status());
     adaptive = std::move(a).value();
@@ -698,7 +612,6 @@ int Serve(const Flags& flags) {
   gt.Print(std::cout);
   std::vector<int64_t> quarantine(gs.quarantine.begin(), gs.quarantine.end());
   PrintRegionQuarantines(quarantine);
-  if (quant != nullptr) PrintQuantStats(quant->stats());
   if (adaptive != nullptr) return PrintAdaptStats(adaptive->stats());
   return 0;
 }
@@ -734,8 +647,6 @@ int Daemon(const Flags& flags) {
       flags.GetDouble("model-deadline-ms", 50.0);
   serve::Daemon daemon(daemon_config);
 
-  const bool quant_enabled = flags.GetBool("quant");
-  const serve::QuantOptions qopt = QuantOptionsFromFlags(flags);
   const bool adapt_enabled = flags.GetBool("adapt");
   const serve::AdaptOptions aopt = AdaptOptionsFromFlags(flags);
 
@@ -778,57 +689,28 @@ int Daemon(const Flags& flags) {
     shard_config.guard.max_gap_steps = 4096;
     shard_config.resilience.recovery_successes =
         static_cast<int>(flags.GetInt("recovery", 3));
-    // --quant: each shard serves through its own drift-guarded int8
-    // wrapper, and restarts-from-checkpoint re-wrap the reloaded float
-    // model so a restarted shard keeps serving quantized.
+    // --adapt: each shard serves through its own adaptation wrapper.
+    // Restarts-from-checkpoint reload the model and wrap it the same way,
+    // so a restarted shard resumes adapting from the reloaded (possibly
+    // adapted) weights.
     std::unique_ptr<Forecaster> serving_model;
-    serve::ModelReloader reloader;
-    if (quant_enabled) {
-      auto quant = serve::QuantizedForecaster::Create(
-          std::unique_ptr<NeuralForecaster>(std::move(model)), qopt);
-      if (!quant.ok()) return Fail(quant.status());
-      serving_model = std::move(quant).value();
-      reloader = [qopt](const std::string& path)
-          -> Result<std::unique_ptr<Forecaster>> {
-        auto loaded = core::LoadForecasterFromCheckpoint(path);
-        if (!loaded.ok()) return loaded.status();
-        auto* neural = dynamic_cast<NeuralForecaster*>(loaded->get());
-        if (neural == nullptr) {
-          return Status::InvalidArgument(
-              "reloaded checkpoint is not a neural model; cannot quantize");
-        }
-        loaded->release();
-        auto rewrapped = serve::QuantizedForecaster::Create(
-            std::unique_ptr<NeuralForecaster>(neural), qopt);
-        if (!rewrapped.ok()) return rewrapped.status();
-        return std::unique_ptr<Forecaster>(std::move(rewrapped).value());
-      };
-    } else {
-      serving_model = std::move(model);
-      reloader = [](const std::string& path) {
-        return core::LoadForecasterFromCheckpoint(path);
-      };
-    }
-    // --adapt: stack the test-time-adaptation wrapper on top (of the quant
-    // wrapper when both are on). Restarts re-wrap the reloaded checkpoint
-    // the same way, so a restarted shard resumes adapting — and, with
-    // --quant, repacks from the reloaded (possibly adapted) weights.
     if (adapt_enabled) {
-      auto adaptive =
-          serve::AdaptivePredictor::Create(std::move(serving_model), aopt);
+      auto adaptive = serve::AdaptivePredictor::Create(std::move(model), aopt);
       if (!adaptive.ok()) return Fail(adaptive.status());
       serving_model = std::move(adaptive).value();
-      serve::ModelReloader inner = std::move(reloader);
-      reloader = [inner, aopt](const std::string& path)
-          -> Result<std::unique_ptr<Forecaster>> {
-        auto loaded = inner(path);
-        if (!loaded.ok()) return loaded.status();
-        auto rewrapped = serve::AdaptivePredictor::Create(
-            std::move(loaded).value(), aopt);
-        if (!rewrapped.ok()) return rewrapped.status();
-        return std::unique_ptr<Forecaster>(std::move(rewrapped).value());
-      };
+    } else {
+      serving_model = std::move(model);
     }
+    serve::ModelReloader reloader = [adapt_enabled, aopt](
+        const std::string& path) -> Result<std::unique_ptr<Forecaster>> {
+      EALGAP_ASSIGN_OR_RETURN(std::unique_ptr<NeuralForecaster> loaded,
+                              core::LoadForecasterFromCheckpoint(path));
+      if (!adapt_enabled) return std::unique_ptr<Forecaster>(std::move(loaded));
+      std::unique_ptr<Forecaster> wrapped;
+      EALGAP_ASSIGN_OR_RETURN(
+          wrapped, serve::AdaptivePredictor::Create(std::move(loaded), aopt));
+      return wrapped;
+    };
     auto shard = serve::Shard::Create(
         std::move(*dataset), std::move(serving_model), split->test_begin,
         shard_config, std::move(reloader));
@@ -936,28 +818,6 @@ int Daemon(const Flags& flags) {
   ht.Print(std::cout);
   PrintRegionQuarantines(fleet_quarantine);
 
-  if (quant_enabled) {
-    // Fleet-wide drift-guard telemetry, aggregated over whatever wrapper
-    // each shard is serving right now (restarts replace the model).
-    serve::QuantStats fleet;
-    for (int s = 0; s < daemon.num_shards(); ++s) {
-      Forecaster* model = daemon.shard(s)->model();
-      if (auto* adaptive = dynamic_cast<serve::AdaptivePredictor*>(model)) {
-        model = adaptive->serving();  // quant wrapper lives underneath
-      }
-      auto* quant = dynamic_cast<serve::QuantizedForecaster*>(model);
-      if (quant == nullptr) continue;
-      const serve::QuantStats qs = quant->stats();
-      fleet.quant_steps += qs.quant_steps;
-      fleet.float_steps += qs.float_steps;
-      fleet.probes += qs.probes;
-      fleet.drift_trips += qs.drift_trips;
-      fleet.max_drift = std::max(fleet.max_drift, qs.max_drift);
-      fleet.tripped = fleet.tripped || qs.tripped;
-    }
-    PrintQuantStats(fleet);
-  }
-
   int adapt_rc = 0;
   if (adapt_enabled) adapt_rc = PrintAdaptStats(report.adapt);
 
@@ -976,6 +836,58 @@ int Daemon(const Flags& flags) {
   return 0;
 }
 
+/// Every flag BuildPrepared reads (evaluate and serve share it).
+const std::vector<std::string> kPipelineFlags = {
+    "trips", "stations", "start", "days", "min-pickups", "regions", "seed",
+    "L", "M"};
+/// --adapt plus every knob AdaptOptionsFromFlags reads (serve and daemon).
+const std::vector<std::string> kAdaptFlags = {
+    "adapt", "adapt-cusum-k", "adapt-cusum-h", "adapt-window",
+    "adapt-holdout", "adapt-min-window", "adapt-cooldown", "adapt-steps",
+    "adapt-lr", "adapt-freeze-after", "adapt-probe-after",
+    "adapt-shadow-every"};
+
+std::vector<std::string> Concat(
+    std::initializer_list<std::vector<std::string>> lists) {
+  std::vector<std::string> out;
+  for (const auto& list : lists) {
+    out.insert(out.end(), list.begin(), list.end());
+  }
+  return out;
+}
+
+/// One subcommand and the flags it accepts: exactly the names its body
+/// reads. main() rejects any other flag, so a stale script fails loudly
+/// instead of running with the flag silently ignored.
+struct Subcommand {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<std::string> flags;
+};
+
+const Subcommand kSubcommands[] = {
+    {"generate", Generate,
+     {"city", "period", "seed", "scale", "out-trips", "out-stations"}},
+    {"inspect", Inspect, {"trips", "stations"}},
+    {"evaluate", Evaluate,
+     Concat({kPipelineFlags,
+             {"scheme", "epochs", "lr", "save", "train-state",
+              "checkpoint-every", "resume"}})},
+    {"experiment", Experiment,
+     {"cities", "periods", "schemes", "seed", "scale", "epochs", "lr",
+      "verbose", "journal", "resume", "state-dir", "checkpoint-every"}},
+    {"serve", Serve,
+     Concat({kPipelineFlags, kAdaptFlags,
+             {"checkpoint", "repair", "deadline-ms", "recovery"}})},
+    {"daemon", Daemon,
+     Concat({kAdaptFlags,
+             {"shards", "regions-per-shard", "days", "epochs", "lr", "ticks",
+              "seed", "threads", "state-dir", "queue-capacity", "batch-max",
+              "deadline-ticks", "ms-per-tick", "model-deadline-ms",
+              "checkpoint-every", "recovery", "steady-rate", "steady-ticks",
+              "burst-rate", "burst-ticks", "load-seed"}})},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -986,13 +898,18 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string cmd = argv[1];
-  ealgap::Flags flags(argc - 1, argv + 1);
-  if (cmd == "generate") return Generate(flags);
-  if (cmd == "inspect") return Inspect(flags);
-  if (cmd == "evaluate") return Evaluate(flags);
-  if (cmd == "experiment") return Experiment(flags);
-  if (cmd == "serve") return Serve(flags);
-  if (cmd == "daemon") return Daemon(flags);
+  const ealgap::Flags flags(argc - 1, argv + 1);
+  for (const Subcommand& sub : kSubcommands) {
+    if (cmd != sub.name) continue;
+    const std::vector<std::string> unknown = flags.Unknown(sub.flags);
+    if (!unknown.empty()) {
+      std::cerr << "error: " << cmd << " does not accept";
+      for (const std::string& name : unknown) std::cerr << " --" << name;
+      std::cerr << "\n";
+      return 2;
+    }
+    return sub.run(flags);
+  }
   std::cerr << "unknown subcommand: " << cmd << "\n";
   return 1;
 }
