@@ -3,7 +3,7 @@
 # experiment sweep (crash + resume must reproduce the clean run byte for
 # byte), check the CLI rejects unknown flags, chaos-soak the serving daemon
 # with faults armed (plain and adaptive), TSan the concurrent serving paths, ASan the
-# checkpoint/resume parsers, and UBSan the adaptation arithmetic.
+# checkpoint/resume loaders, and UBSan the adaptation arithmetic and loaders.
 #
 # Usage: scripts/ci.sh
 #   BUILD_DIR=<dir>       main build directory   (default: build)
@@ -158,8 +158,10 @@ done
 
 echo "===== ASan: checkpoint/resume + fault-injection + arena paths ====="
 # The resume machinery shuffles large snapshots (params, Adam moments, RNG
-# streams) through text serialization and back; AddressSanitizer guards the
-# parser against overreads on truncated or corrupt state files.
+# streams) through the record container (common/record_io) and back;
+# AddressSanitizer guards every loader against overreads on truncated or
+# corrupt files — record_io_test feeds all five of them every truncation,
+# every bit flip, duplicated and spliced sections, and inflated lengths.
 # alloc_guard_test rides along deliberately: under ASan its malloc hook
 # compiles out (ASan owns malloc) and the counting assertions self-skip,
 # which turns the 240-step replays into a lifetime check of the exact
@@ -167,9 +169,10 @@ echo "===== ASan: checkpoint/resume + fault-injection + arena paths ====="
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -G Ninja -DEALGAP_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target \
-  train_resume_test fault_injection_test experiment_test alloc_guard_test
+  train_resume_test fault_injection_test experiment_test alloc_guard_test \
+  record_io_test
 for t in train_resume_test fault_injection_test experiment_test \
-         alloc_guard_test; do
+         alloc_guard_test record_io_test; do
   echo "----- ASan: $t -----"
   "./$ASAN_BUILD_DIR/tests/$t"
 done
@@ -180,13 +183,13 @@ echo "===== UBSan: adaptation + serving arithmetic paths ====="
 # counters): UndefinedBehaviorSanitizer with -fno-sanitize-recover turns
 # any signed overflow, bad shift, or misaligned access in those paths into
 # a test failure. daemon_test drives the full adapt/freeze/restart
-# machinery; robustness_test drives the corrupt-input parsers whose
-# error paths do offset arithmetic on attacker-shaped files.
+# machinery; robustness_test and record_io_test drive the corrupt-input
+# loaders whose error paths do offset arithmetic on attacker-shaped files.
 UBSAN_BUILD_DIR="${UBSAN_BUILD_DIR:-build-ubsan}"
 cmake -B "$UBSAN_BUILD_DIR" -S . -G Ninja -DEALGAP_SANITIZE=undefined
 cmake --build "$UBSAN_BUILD_DIR" -j --target \
-  daemon_test robustness_test fault_injection_test
-for t in daemon_test robustness_test fault_injection_test; do
+  daemon_test robustness_test fault_injection_test record_io_test
+for t in daemon_test robustness_test fault_injection_test record_io_test; do
   echo "----- UBSan: $t -----"
   "./$UBSAN_BUILD_DIR/tests/$t"
 done

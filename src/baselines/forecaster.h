@@ -21,8 +21,8 @@ struct TrainConfig {
   bool verbose = false;
 
   // --- crash-safe checkpointing (NeuralForecaster only) ---
-  /// Path of the atomic train-state snapshot (format v3: params, optimizer
-  /// moments, RNG stream, counters, best-val snapshot). Empty disables
+  /// Path of the atomic train-state record (params, optimizer moments, RNG
+  /// stream, counters, best-val snapshot). Empty disables
   /// checkpointing entirely.
   std::string checkpoint_path;
   /// Write the train state every this many completed epochs (requires

@@ -4,16 +4,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
-#include "common/checksum.h"
 #include "common/fault_injection.h"
-#include "common/file_util.h"
-#include "common/float_bits.h"
 #include "common/logging.h"
+#include "common/record_io.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "nn/loss.h"
@@ -212,31 +209,6 @@ Status NeuralForecaster::MicroFit(
   }
   return Status::OK();
 }
-
-/// Everything Fit needs to continue from an epoch boundary: parameters,
-/// optimizer moments, the RNG stream, loop counters, the best-validation
-/// snapshot, and the attribution stats. One struct serves both the
-/// in-memory divergence-rollback target and the on-disk train state
-/// (format v3), so "roll back" and "resume" are the same restore path.
-struct NeuralForecaster::TrainSnapshot {
-  int epoch = 0;  ///< next epoch to run (== epochs completed)
-  float lr = 0.f;
-  double best_val = 1e300;
-  int bad_epochs = 0;
-  int64_t total_steps = 0;
-  double total_step_ms = 0.0;
-  RngState rng;
-  /// Train-step visit order. The per-epoch shuffle permutes this vector in
-  /// place, so the epoch-N order depends on every earlier shuffle — it is
-  /// loop state, and a bit-identical resume must restore it along with the
-  /// RNG stream.
-  std::vector<int64_t> order;
-  std::map<std::string, Tensor> params;
-  int64_t adam_t = 0;
-  std::vector<Tensor> adam_m, adam_v;
-  std::map<std::string, Tensor> best_params;  ///< empty: no best epoch yet
-  TrainStats stats;
-};
 
 Status NeuralForecaster::Fit(const data::SlidingWindowDataset& dataset,
                              const data::StepRanges& split,
@@ -528,10 +500,18 @@ Status NeuralForecaster::PredictSampleInto(const data::WindowSample& sample,
 // --- Checkpointing ----------------------------------------------------------
 
 namespace {
-constexpr char kCheckpointMagic[] = "ealgap-checkpoint";
-constexpr int kCheckpointVersion = 1;
-constexpr char kTrainStateMagic[] = "ealgap-train-state";
-constexpr int kTrainStateVersion = 3;
+constexpr char kCheckpointKind[] = "checkpoint";
+constexpr uint32_t kCheckpointVersion = 2;
+constexpr char kTrainStateKind[] = "train-state";
+constexpr uint32_t kTrainStateVersion = 4;
+
+/// Reads a tensor-map section whole (nn::ReadTensors + Finish).
+Status ReadTensorSection(const RecordReader& reader, std::string_view name,
+                         std::map<std::string, Tensor>* out) {
+  EALGAP_ASSIGN_OR_RETURN(RecordSection section, reader.Section(name));
+  EALGAP_RETURN_IF_ERROR(nn::ReadTensors(section, out));
+  return section.Finish();
+}
 }  // namespace
 
 Status NeuralForecaster::EncodeConfig(CheckpointConfig* config) const {
@@ -589,325 +569,183 @@ Status NeuralForecaster::SaveCheckpoint(const std::string& path) {
   }
   CheckpointConfig config;
   EALGAP_RETURN_IF_ERROR(EncodeConfig(&config));
-  std::ostringstream out;
-  out << kCheckpointMagic << " " << kCheckpointVersion << "\n";
-  out << "model " << name() << "\n";
-  out.precision(std::numeric_limits<float>::max_digits10);
+  RecordWriter writer(kCheckpointKind, kCheckpointVersion);
+  writer.Section("model").PutString(name());
+  writer.Section("config").PutU64(config.size());
   for (const auto& [key, value] : config) {
-    out << "config " << key << " " << value << "\n";
+    writer.PutString(key).PutString(value);
   }
-  int64_t count = 0;
-  LineCrc crc;
-  {
-    std::ostringstream params;
-    nn::WriteParameterBlock(params, *module(), &count, &crc);
-    out << "params " << count << "\n" << params.str();
-  }
-  // Per-block CRC over the parameter lines: catches in-block corruption
-  // (bit rot, bad copies) that still parses as valid numbers.
-  out << "crc " << Crc32Hex(crc.value()) << "\n";
-  out << "end\n";
-  // Temp-file + fsync + rename with bounded retry: a reader (or a crash
-  // mid-save) can never observe a torn checkpoint.
-  return WriteFileAtomic(path, out.str());
+  writer.Section("params");
+  nn::PutTensors(writer, nn::ParameterMap(*module()));
+  return writer.Commit(path);
+}
+
+Result<std::string> NeuralForecaster::CheckpointModelName(
+    const std::string& path) {
+  EALGAP_ASSIGN_OR_RETURN(
+      RecordReader reader,
+      RecordReader::Open(path, kCheckpointKind, kCheckpointVersion));
+  return reader.StringSection("model");
 }
 
 Status NeuralForecaster::LoadCheckpoint(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kCheckpointMagic) {
-    return Status::ParseError(path + " is not an ealgap checkpoint");
-  }
-  if (version != kCheckpointVersion) {
-    return Status::InvalidArgument(
-        "unsupported checkpoint version " + std::to_string(version) + " in " +
-        path + " (maximum supported: " + std::to_string(kCheckpointVersion) +
-        ")");
-  }
-  std::string key, model;
-  if (!(in >> key >> model) || key != "model") {
-    return Status::ParseError("missing model line in " + path);
-  }
+  EALGAP_ASSIGN_OR_RETURN(
+      RecordReader reader,
+      RecordReader::Open(path, kCheckpointKind, kCheckpointVersion));
+  EALGAP_ASSIGN_OR_RETURN(std::string model, reader.StringSection("model"));
   if (model != name()) {
     return Status::InvalidArgument("checkpoint holds model " + model +
                                    " but this forecaster is " + name());
   }
-  // Config echo, then the parameter count.
+  EALGAP_ASSIGN_OR_RETURN(RecordSection section, reader.Section("config"));
+  uint64_t entries = 0;
+  // Each entry is at least two string lengths.
+  EALGAP_RETURN_IF_ERROR(section.ReadCount("entries", 8, &entries));
   std::map<std::string, std::string> config;
-  int64_t param_count = -1;
-  std::string line;
-  std::getline(in, line);  // finish the model line
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream is(line);
-    std::string tag;
-    is >> tag;
-    if (tag == "config") {
-      std::string k;
-      if (!(is >> k)) return Status::ParseError("bad config line in " + path);
-      std::string v;
-      std::getline(is, v);
-      const size_t start = v.find_first_not_of(' ');
-      config[k] = start == std::string::npos ? "" : v.substr(start);
-    } else if (tag == "params") {
-      if (!(is >> param_count) || param_count < 0 || param_count > 100000) {
-        return Status::ParseError("bad params count in " + path);
-      }
-      break;
-    } else {
-      return Status::ParseError("unexpected checkpoint tag '" + tag +
-                                "' in " + path);
+  for (uint64_t i = 0; i < entries; ++i) {
+    std::string key, value;
+    EALGAP_RETURN_IF_ERROR(section.ReadString("key", &key));
+    EALGAP_RETURN_IF_ERROR(section.ReadString(key, &value));
+    if (!config.emplace(key, std::move(value)).second) {
+      return section.Error(key, "duplicate config key");
     }
   }
-  if (param_count < 0) {
-    return Status::ParseError("truncated checkpoint (no params block) in " +
-                              path);
-  }
+  EALGAP_RETURN_IF_ERROR(section.Finish());
+  std::map<std::string, Tensor> loaded;
+  EALGAP_RETURN_IF_ERROR(ReadTensorSection(reader, "params", &loaded));
   // Rebuild the network from the config echo, then load the weights.
   EALGAP_RETURN_IF_ERROR(DecodeConfig(config));
-  std::map<std::string, Tensor> loaded;
-  LineCrc crc;
-  EALGAP_RETURN_IF_ERROR(
-      nn::ReadParameterBlock(in, param_count, &loaded, path, &crc));
-  std::string tail;
-  std::string crc_hex;
-  uint32_t stored_crc = 0;
-  std::istringstream crc_line;
-  if (!std::getline(in, tail)) {
-    return Status::ParseError("truncated checkpoint (missing crc) in " + path);
-  }
-  crc_line.str(tail);
-  std::string crc_tag;
-  if (!(crc_line >> crc_tag >> crc_hex) || crc_tag != "crc" ||
-      !ParseCrc32Hex(crc_hex, &stored_crc)) {
-    return Status::ParseError("bad crc line in " + path);
-  }
-  if (stored_crc != crc.value()) {
-    return Status::ParseError("parameter block CRC mismatch in " + path +
-                              ": stored " + crc_hex + ", computed " +
-                              Crc32Hex(crc.value()));
-  }
-  if (!std::getline(in, tail) || tail != "end") {
-    return Status::ParseError("truncated checkpoint (missing end marker) in " +
-                              path);
-  }
   EALGAP_RETURN_IF_ERROR(nn::ApplyParameters(*module(), loaded, path));
   fitted_ = true;
   return Status::OK();
 }
 
-// --- Train-state checkpoints (format v3) ------------------------------------
+// --- Train-state checkpoints -------------------------------------------------
 //
-// Layout (one logical field per line; floating-point scalars as raw bit
-// patterns in hex so the round-trip is exact to the last ulp):
-//
-//   ealgap-train-state 3
-//   model <name>
-//   epoch <int> / lr / best_val / bad_epochs / total_steps / total_step_ms
-//   stats <8 TrainStats fields>
-//   rng <s0> <s1> <s2> <s3> <have_cached> <cached_bits>
-//   order <count> <step...>   (train-step visit order; permutation-checked
-//                              against the dataset on resume)
-//   params <count>  + tensor lines + crc <hex8>
-//   adam <t> <count> + tensor lines (keys m.%05d / v.%05d) + crc <hex8>
-//   best <count>    + tensor lines + crc <hex8>
-//   end
-//
-// Written via WriteFileAtomic (temp file + fsync + rename), so a crash at
-// any point leaves either the previous complete state or the new one —
-// never a torn file. Each tensor block carries its own CRC32; the trailing
-// `end` marker makes truncation detectable even after the last block.
+// Sections: model, loop (epoch, lr, best_val, bad_epochs, total_steps,
+// total_step_ms), stats (the TrainStats fields), rng (xoshiro state + the
+// cached normal), order (the train-step visit order, permutation-checked
+// against the dataset on resume), params, adam (step count + moments keyed
+// m.%05d / v.%05d) and best. Written through RecordWriter, so a crash at
+// any point leaves the previous complete state or the new one.
 
 Status NeuralForecaster::SaveTrainState(const std::string& path,
                                         const TrainSnapshot& snap) {
-  std::ostringstream out;
-  out << kTrainStateMagic << " " << kTrainStateVersion << "\n";
-  out << "model " << name() << "\n";
-  out << "epoch " << snap.epoch << "\n";
-  out << "lr " << FloatBitsHex(snap.lr) << "\n";
-  out << "best_val " << DoubleBitsHex(snap.best_val) << "\n";
-  out << "bad_epochs " << snap.bad_epochs << "\n";
-  out << "total_steps " << snap.total_steps << "\n";
-  out << "total_step_ms " << DoubleBitsHex(snap.total_step_ms) << "\n";
+  RecordWriter writer(kTrainStateKind, kTrainStateVersion);
+  writer.Section("model").PutString(name());
+  writer.Section("loop")
+      .PutI64(snap.epoch)
+      .PutF32(snap.lr)
+      .PutF64(snap.best_val)
+      .PutI64(snap.bad_epochs)
+      .PutI64(snap.total_steps)
+      .PutF64(snap.total_step_ms);
   const TrainStats& st = snap.stats;
-  out << "stats " << st.epochs_completed << " " << st.steps << " "
-      << st.rollbacks << " " << st.retries << " " << st.skipped_steps << " "
-      << st.checkpoints_written << " " << st.resumed_epoch << " "
-      << FloatBitsHex(st.final_lr) << "\n";
-  out << "rng " << snap.rng.s[0] << " " << snap.rng.s[1] << " "
-      << snap.rng.s[2] << " " << snap.rng.s[3] << " "
-      << (snap.rng.have_cached_normal ? 1 : 0) << " "
-      << DoubleBitsHex(snap.rng.cached_normal) << "\n";
-  out << "order " << snap.order.size();
-  for (int64_t step : snap.order) out << " " << step;
-  out << "\n";
-  {
-    std::ostringstream block;
-    int64_t count = 0;
-    LineCrc crc;
-    nn::WriteTensorMapBlock(block, snap.params, &count, &crc);
-    out << "params " << count << "\n" << block.str();
-    out << "crc " << Crc32Hex(crc.value()) << "\n";
+  writer.Section("stats")
+      .PutI64(st.epochs_completed)
+      .PutI64(st.steps)
+      .PutI64(st.rollbacks)
+      .PutI64(st.retries)
+      .PutI64(st.skipped_steps)
+      .PutI64(st.checkpoints_written)
+      .PutI64(st.resumed_epoch)
+      .PutF32(st.final_lr);
+  writer.Section("rng");
+  for (uint64_t word : snap.rng.s) writer.PutU64(word);
+  writer.PutI64(snap.rng.have_cached_normal ? 1 : 0)
+      .PutF64(snap.rng.cached_normal);
+  writer.Section("order").PutI64s(snap.order.data(), snap.order.size());
+  writer.Section("params");
+  nn::PutTensors(writer, snap.params);
+  std::map<std::string, Tensor> adam;
+  for (size_t i = 0; i < snap.adam_m.size(); ++i) {
+    adam.emplace(AdamKey('m', i), snap.adam_m[i]);
   }
-  {
-    std::map<std::string, Tensor> adam;
-    for (size_t i = 0; i < snap.adam_m.size(); ++i) {
-      adam.emplace(AdamKey('m', i), snap.adam_m[i]);
-    }
-    for (size_t i = 0; i < snap.adam_v.size(); ++i) {
-      adam.emplace(AdamKey('v', i), snap.adam_v[i]);
-    }
-    std::ostringstream block;
-    int64_t count = 0;
-    LineCrc crc;
-    nn::WriteTensorMapBlock(block, adam, &count, &crc);
-    out << "adam " << snap.adam_t << " " << count << "\n" << block.str();
-    out << "crc " << Crc32Hex(crc.value()) << "\n";
+  for (size_t i = 0; i < snap.adam_v.size(); ++i) {
+    adam.emplace(AdamKey('v', i), snap.adam_v[i]);
   }
-  {
-    std::ostringstream block;
-    int64_t count = 0;
-    LineCrc crc;
-    nn::WriteTensorMapBlock(block, snap.best_params, &count, &crc);
-    out << "best " << count << "\n" << block.str();
-    out << "crc " << Crc32Hex(crc.value()) << "\n";
-  }
-  out << "end\n";
-  return WriteFileAtomic(path, out.str());
+  writer.Section("adam").PutI64(snap.adam_t);
+  nn::PutTensors(writer, adam);
+  writer.Section("best");
+  nn::PutTensors(writer, snap.best_params);
+  return writer.Commit(path);
 }
-
-namespace {
-
-/// Consumes the `crc <hex8>` line that closes a tensor block and verifies
-/// it against the running CRC the reader accumulated.
-Status CheckBlockCrc(std::istream& in, const LineCrc& crc,
-                     const std::string& block, const std::string& path) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::ParseError("truncated train state (missing crc after " +
-                              block + " block) in " + path);
-  }
-  std::istringstream is(line);
-  std::string tag, hex;
-  uint32_t stored = 0;
-  if (!(is >> tag >> hex) || tag != "crc" || !ParseCrc32Hex(hex, &stored)) {
-    return Status::ParseError("bad crc line after " + block + " block in " +
-                              path);
-  }
-  if (stored != crc.value()) {
-    return Status::ParseError(block + " block CRC mismatch in " + path +
-                              ": stored " + hex + ", computed " +
-                              Crc32Hex(crc.value()));
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Status NeuralForecaster::LoadTrainState(const std::string& path,
                                         TrainSnapshot* snap) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kTrainStateMagic) {
-    return Status::ParseError(path + " is not an ealgap train state");
-  }
-  if (version != kTrainStateVersion) {
-    return Status::InvalidArgument(
-        "unsupported train-state version " + std::to_string(version) +
-        " in " + path + " (maximum supported: " +
-        std::to_string(kTrainStateVersion) + ")");
-  }
-  std::string tag, model;
-  if (!(in >> tag >> model) || tag != "model") {
-    return Status::ParseError("missing model line in " + path);
-  }
+  EALGAP_ASSIGN_OR_RETURN(
+      RecordReader reader,
+      RecordReader::Open(path, kTrainStateKind, kTrainStateVersion));
+  EALGAP_ASSIGN_OR_RETURN(std::string model, reader.StringSection("model"));
   if (model != name()) {
     return Status::InvalidArgument("train state holds model " + model +
                                    " but this forecaster is " + name());
   }
 
-  auto bad = [&path](const std::string& field) {
-    return Status::ParseError("bad '" + field + "' line in " + path);
-  };
-  std::string hex;
-  if (!(in >> tag >> snap->epoch) || tag != "epoch" || snap->epoch < 0 ||
-      snap->epoch > 1000000) {
-    return bad("epoch");
-  }
-  if (!(in >> tag >> hex) || tag != "lr" || !ParseFloatBitsHex(hex, &snap->lr)) {
-    return bad("lr");
-  }
-  if (!(in >> tag >> hex) || tag != "best_val" ||
-      !ParseDoubleBitsHex(hex, &snap->best_val)) {
-    return bad("best_val");
-  }
-  if (!(in >> tag >> snap->bad_epochs) || tag != "bad_epochs" ||
-      snap->bad_epochs < 0) {
-    return bad("bad_epochs");
-  }
-  if (!(in >> tag >> snap->total_steps) || tag != "total_steps" ||
-      snap->total_steps < 0) {
-    return bad("total_steps");
-  }
-  if (!(in >> tag >> hex) || tag != "total_step_ms" ||
-      !ParseDoubleBitsHex(hex, &snap->total_step_ms)) {
-    return bad("total_step_ms");
-  }
-  TrainStats& st = snap->stats;
-  if (!(in >> tag >> st.epochs_completed >> st.steps >> st.rollbacks >>
-        st.retries >> st.skipped_steps >> st.checkpoints_written >>
-        st.resumed_epoch >> hex) ||
-      tag != "stats" || !ParseFloatBitsHex(hex, &st.final_lr)) {
-    return bad("stats");
-  }
-  int have_cached = 0;
-  if (!(in >> tag >> snap->rng.s[0] >> snap->rng.s[1] >> snap->rng.s[2] >>
-        snap->rng.s[3] >> have_cached >> hex) ||
-      tag != "rng" || (have_cached != 0 && have_cached != 1) ||
-      !ParseDoubleBitsHex(hex, &snap->rng.cached_normal)) {
-    return bad("rng");
-  }
-  snap->rng.have_cached_normal = have_cached == 1;
-
-  int64_t order_count = -1;
-  if (!(in >> tag >> order_count) || tag != "order" || order_count < 0 ||
-      order_count > 10000000) {
-    return bad("order");
-  }
-  snap->order.resize(static_cast<size_t>(order_count));
-  for (int64_t& step : snap->order) {
-    if (!(in >> step) || step < 0) return bad("order");
-  }
-
-  std::string line;
-  int64_t count = -1;
-  if (!(in >> tag >> count) || tag != "params" || count < 0 ||
-      count > 100000) {
-    return bad("params");
-  }
-  std::getline(in, line);  // finish the header line
   {
-    LineCrc crc;
+    EALGAP_ASSIGN_OR_RETURN(RecordSection loop, reader.Section("loop"));
+    int64_t epoch = 0, bad_epochs = 0;
+    EALGAP_RETURN_IF_ERROR(loop.ReadI64In("epoch", 0, 1000000, &epoch));
+    EALGAP_RETURN_IF_ERROR(loop.ReadF32("lr", &snap->lr));
+    EALGAP_RETURN_IF_ERROR(loop.ReadF64("best_val", &snap->best_val));
     EALGAP_RETURN_IF_ERROR(
-        nn::ReadParameterBlock(in, count, &snap->params, path, &crc));
-    EALGAP_RETURN_IF_ERROR(CheckBlockCrc(in, crc, "params", path));
+        loop.ReadI64In("bad_epochs", 0, 1000000, &bad_epochs));
+    EALGAP_RETURN_IF_ERROR(
+        loop.ReadI64In("total_steps", 0, INT64_MAX, &snap->total_steps));
+    EALGAP_RETURN_IF_ERROR(
+        loop.ReadF64("total_step_ms", &snap->total_step_ms));
+    EALGAP_RETURN_IF_ERROR(loop.Finish());
+    snap->epoch = static_cast<int>(epoch);
+    snap->bad_epochs = static_cast<int>(bad_epochs);
   }
-
-  if (!(in >> tag >> snap->adam_t >> count) || tag != "adam" ||
-      snap->adam_t < 0 || count < 0 || count > 200000 || count % 2 != 0) {
-    return bad("adam");
-  }
-  std::getline(in, line);
   {
+    EALGAP_ASSIGN_OR_RETURN(RecordSection stats, reader.Section("stats"));
+    TrainStats& st = snap->stats;
+    EALGAP_RETURN_IF_ERROR(
+        stats.ReadI64("epochs_completed", &st.epochs_completed));
+    EALGAP_RETURN_IF_ERROR(stats.ReadI64("steps", &st.steps));
+    EALGAP_RETURN_IF_ERROR(stats.ReadI64("rollbacks", &st.rollbacks));
+    EALGAP_RETURN_IF_ERROR(stats.ReadI64("retries", &st.retries));
+    EALGAP_RETURN_IF_ERROR(stats.ReadI64("skipped_steps", &st.skipped_steps));
+    EALGAP_RETURN_IF_ERROR(
+        stats.ReadI64("checkpoints_written", &st.checkpoints_written));
+    EALGAP_RETURN_IF_ERROR(stats.ReadI64("resumed_epoch", &st.resumed_epoch));
+    EALGAP_RETURN_IF_ERROR(stats.ReadF32("final_lr", &st.final_lr));
+    EALGAP_RETURN_IF_ERROR(stats.Finish());
+  }
+  {
+    EALGAP_ASSIGN_OR_RETURN(RecordSection rng, reader.Section("rng"));
+    for (uint64_t& word : snap->rng.s) {
+      EALGAP_RETURN_IF_ERROR(rng.ReadU64("state", &word));
+    }
+    int64_t have_cached = 0;
+    EALGAP_RETURN_IF_ERROR(rng.ReadI64In("have_cached", 0, 1, &have_cached));
+    snap->rng.have_cached_normal = have_cached == 1;
+    EALGAP_RETURN_IF_ERROR(
+        rng.ReadF64("cached_normal", &snap->rng.cached_normal));
+    EALGAP_RETURN_IF_ERROR(rng.Finish());
+  }
+  {
+    EALGAP_ASSIGN_OR_RETURN(RecordSection order, reader.Section("order"));
+    EALGAP_RETURN_IF_ERROR(order.ReadI64s("steps", &snap->order));
+    for (int64_t step : snap->order) {
+      if (step < 0) return order.Error("steps", "negative train step");
+    }
+    EALGAP_RETURN_IF_ERROR(order.Finish());
+  }
+  EALGAP_RETURN_IF_ERROR(ReadTensorSection(reader, "params", &snap->params));
+  {
+    EALGAP_ASSIGN_OR_RETURN(RecordSection section, reader.Section("adam"));
+    EALGAP_RETURN_IF_ERROR(
+        section.ReadI64In("t", 0, INT64_MAX, &snap->adam_t));
     std::map<std::string, Tensor> adam;
-    LineCrc crc;
-    EALGAP_RETURN_IF_ERROR(nn::ReadParameterBlock(in, count, &adam, path, &crc));
-    EALGAP_RETURN_IF_ERROR(CheckBlockCrc(in, crc, "adam", path));
-    const size_t n = static_cast<size_t>(count / 2);
+    EALGAP_RETURN_IF_ERROR(nn::ReadTensors(section, &adam));
+    EALGAP_RETURN_IF_ERROR(section.Finish());
+    if (adam.size() % 2 != 0) {
+      return section.Error("tensors", "odd moment count " +
+                                          std::to_string(adam.size()));
+    }
+    const size_t n = adam.size() / 2;
     snap->adam_m.clear();
     snap->adam_v.clear();
     snap->adam_m.reserve(n);
@@ -923,23 +761,7 @@ Status NeuralForecaster::LoadTrainState(const std::string& path,
       snap->adam_v.push_back(vi->second);
     }
   }
-
-  if (!(in >> tag >> count) || tag != "best" || count < 0 || count > 100000) {
-    return bad("best");
-  }
-  std::getline(in, line);
-  {
-    LineCrc crc;
-    EALGAP_RETURN_IF_ERROR(
-        nn::ReadParameterBlock(in, count, &snap->best_params, path, &crc));
-    EALGAP_RETURN_IF_ERROR(CheckBlockCrc(in, crc, "best", path));
-  }
-
-  if (!std::getline(in, line) || line != "end") {
-    return Status::ParseError("truncated train state (missing end marker) in " +
-                              path);
-  }
-  return Status::OK();
+  return ReadTensorSection(reader, "best", &snap->best_params);
 }
 
 }  // namespace ealgap

@@ -8,13 +8,15 @@
 #include <vector>
 
 #include "baselines/forecaster.h"
+#include "common/rng.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
 #include "tensor/autograd.h"
 
 namespace ealgap {
 
-/// Ordered key/value pairs a forecaster echoes into its checkpoint header.
+/// Ordered key/value pairs a forecaster echoes into its checkpoint's
+/// `config` section.
 using CheckpointConfig = std::vector<std::pair<std::string, std::string>>;
 
 /// Shared skeleton for every gradient-trained forecaster (the recurrent
@@ -47,18 +49,22 @@ class NeuralForecaster : public Forecaster {
   Status PredictSampleInto(const data::WindowSample& sample,
                            std::vector<double>* out) override;
 
-  /// Writes a versioned checkpoint: header, model name, the EncodeConfig
-  /// echo, every parameter, and a trailing end marker (so truncation is
-  /// detectable). Requires Fit() or LoadCheckpoint() first.
+  /// Writes a "checkpoint" record (common/record_io.h) with sections
+  /// `model` (name), `config` (the EncodeConfig key/value echo) and
+  /// `params` (every parameter). Requires Fit() or LoadCheckpoint() first.
   Status SaveCheckpoint(const std::string& path);
 
   /// Restores a forecaster from SaveCheckpoint output without a Fit() call:
-  /// validates the header version and model name, rebuilds the network from
+  /// verifies the record, checks the model name, rebuilds the network from
   /// the config echo (DecodeConfig), and loads the parameters with shape
   /// validation. A corrupted, truncated, or mismatched file yields a Status
-  /// error and leaves no partially-initialized state behind on the happy
-  /// path's fitted flag.
+  /// error and leaves the fitted flag untouched.
   Status LoadCheckpoint(const std::string& path);
+
+  /// The model name a SaveCheckpoint file was written for (the file's
+  /// framing is verified first), so a caller can pick the forecaster type
+  /// before calling LoadCheckpoint.
+  static Result<std::string> CheckpointModelName(const std::string& path);
 
   /// Bounded online fine-tune knobs (serve::AdaptivePredictor). Plain SGD,
   /// deliberately: a micro-fit leaves no optimizer moments behind, so
@@ -144,8 +150,38 @@ class NeuralForecaster : public Forecaster {
     return current_dataset_;
   }
 
+  /// Everything Fit needs to continue from an epoch boundary: parameters,
+  /// optimizer moments, the RNG stream, loop counters, the best-validation
+  /// snapshot, and the attribution stats. One struct serves both the
+  /// in-memory divergence-rollback target and the on-disk train state, so
+  /// "roll back" and "resume" are the same restore path.
+  struct TrainSnapshot {
+    int epoch = 0;  ///< next epoch to run (== epochs completed)
+    float lr = 0.f;
+    double best_val = 1e300;
+    int bad_epochs = 0;
+    int64_t total_steps = 0;
+    double total_step_ms = 0.0;
+    RngState rng;
+    /// Train-step visit order. The per-epoch shuffle permutes this vector
+    /// in place, so the epoch-N order depends on every earlier shuffle — it
+    /// is loop state, and a bit-identical resume must restore it along
+    /// with the RNG stream.
+    std::vector<int64_t> order;
+    std::map<std::string, Tensor> params;
+    int64_t adam_t = 0;
+    std::vector<Tensor> adam_m, adam_v;
+    std::map<std::string, Tensor> best_params;  ///< empty: no best epoch yet
+    TrainStats stats;
+  };
+
+  /// Atomic train-state record (see neural.cc for its sections): saves
+  /// `snap`, or restores it with full validation (model name, field
+  /// ranges, shapes, Adam moment pairing). Fit's resume path calls these.
+  Status SaveTrainState(const std::string& path, const TrainSnapshot& snap);
+  Status LoadTrainState(const std::string& path, TrainSnapshot* snap);
+
  private:
-  struct TrainSnapshot;
 
   const data::SlidingWindowDataset* current_dataset_ = nullptr;
   Tensor StackTargets(const std::vector<data::WindowSample>& batch) const;
@@ -155,12 +191,6 @@ class NeuralForecaster : public Forecaster {
   Result<double> EvaluateLoss(const data::SlidingWindowDataset& dataset,
                               const std::vector<int64_t>& steps,
                               int batch_size);
-
-  /// Atomic train-state checkpoint (format v3): serializes `snap` with
-  /// per-block CRCs and lands it via WriteFileAtomic, or restores it with
-  /// full validation (model name, shapes, CRCs, end marker).
-  Status SaveTrainState(const std::string& path, const TrainSnapshot& snap);
-  Status LoadTrainState(const std::string& path, TrainSnapshot* snap);
 
   bool fitted_ = false;
   double best_val_loss_ = 0.0;

@@ -41,22 +41,4 @@ std::string Crc32Hex(uint32_t crc) {
   return buf;
 }
 
-bool ParseCrc32Hex(const std::string& text, uint32_t* crc) {
-  if (text.size() != 8) return false;
-  uint32_t v = 0;
-  for (char ch : text) {
-    int digit;
-    if (ch >= '0' && ch <= '9') {
-      digit = ch - '0';
-    } else if (ch >= 'a' && ch <= 'f') {
-      digit = ch - 'a' + 10;
-    } else {
-      return false;
-    }
-    v = (v << 4) | static_cast<uint32_t>(digit);
-  }
-  *crc = v;
-  return true;
-}
-
 }  // namespace ealgap

@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 
 #include "baselines/arima.h"
 #include "baselines/chat.h"
@@ -129,18 +128,8 @@ Result<std::unique_ptr<Forecaster>> MakeForecaster(const std::string& scheme,
 
 Result<std::unique_ptr<NeuralForecaster>> LoadForecasterFromCheckpoint(
     const std::string& path) {
-  // Peek the header to learn which forecaster wrote the file; the model
-  // itself re-validates the full header in LoadCheckpoint.
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string magic, tag, model_name;
-  int version = 0;
-  if (!(in >> magic >> version >> tag >> model_name) ||
-      magic != "ealgap-checkpoint" || tag != "model") {
-    return Status::ParseError(path + " is not an ealgap checkpoint");
-  }
-  in.close();
-
+  EALGAP_ASSIGN_OR_RETURN(std::string model_name,
+                          NeuralForecaster::CheckpointModelName(path));
   std::unique_ptr<NeuralForecaster> model;
   if (model_name == "EALGAP") {
     model = std::make_unique<EalgapForecaster>();

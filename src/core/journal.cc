@@ -1,138 +1,52 @@
 #include "core/journal.h"
 
-#include <fstream>
-#include <sstream>
-
-#include "common/checksum.h"
-#include "common/file_util.h"
-#include "common/float_bits.h"
+#include "common/record_io.h"
 
 namespace ealgap {
 namespace core {
 
 namespace {
 
-constexpr char kJournalMagic[] = "ealgap-journal";
-constexpr int kJournalVersion = 1;
+constexpr char kJournalKind[] = "journal";
+// v2: a record file (common/record_io.h); the v1 text layout is not read.
+constexpr uint32_t kJournalVersion = 2;
 
-/// A journal entry must stay one line: fold any embedded control
-/// characters (newlines in a wrapped error message, tabs that would split
-/// the CRC field) into spaces.
-std::string OneLine(const std::string& text) {
-  std::string out = text;
-  for (char& c : out) {
-    if (c == '\n' || c == '\r' || c == '\t') c = ' ';
-  }
-  return out;
-}
-
-/// Body of one cell line, without the per-line CRC field.
-std::string CellBody(const JournalEntry& e) {
-  std::ostringstream os;
-  os << "cell " << e.city << " " << e.period << " " << e.scheme << " ";
-  if (e.ok) {
-    os << "ok " << DoubleBitsHex(e.metrics.er) << " "
-       << DoubleBitsHex(e.metrics.msle) << " " << DoubleBitsHex(e.metrics.r2)
-       << " " << DoubleBitsHex(e.metrics.rmse) << " "
-       << DoubleBitsHex(e.metrics.mae);
-  } else {
-    os << "fail " << OneLine(e.error);
-  }
-  return os.str();
-}
-
-std::string Serialize(const std::vector<JournalEntry>& entries) {
-  std::ostringstream out;
-  out << kJournalMagic << " " << kJournalVersion << "\n";
-  for (const JournalEntry& e : entries) {
-    const std::string body = CellBody(e);
-    out << body << "\t" << Crc32Hex(Crc32(body)) << "\n";
-  }
-  out << "end\n";
-  return out.str();
-}
-
-Status ParseCell(const std::string& line, const std::string& path,
-                 JournalEntry* entry) {
-  const size_t tab = line.rfind('\t');
-  if (tab == std::string::npos) {
-    return Status::ParseError("journal cell line missing CRC field in " + path +
-                              ": " + line);
-  }
-  const std::string body = line.substr(0, tab);
-  uint32_t stored = 0;
-  if (!ParseCrc32Hex(line.substr(tab + 1), &stored)) {
-    return Status::ParseError("bad journal cell CRC in " + path + ": " + line);
-  }
-  if (stored != Crc32(body)) {
-    return Status::ParseError("journal cell CRC mismatch in " + path + ": " +
-                              body);
-  }
-  std::istringstream is(body);
-  std::string tag, status;
-  if (!(is >> tag >> entry->city >> entry->period >> entry->scheme >>
-        status) ||
-      tag != "cell" || (status != "ok" && status != "fail")) {
-    return Status::ParseError("malformed journal cell in " + path + ": " +
-                              body);
-  }
-  entry->ok = status == "ok";
+Status ReadCell(RecordSection& section, JournalEntry* entry) {
+  int64_t ok = 0;
+  EALGAP_RETURN_IF_ERROR(section.ReadString("city", &entry->city));
+  EALGAP_RETURN_IF_ERROR(section.ReadString("period", &entry->period));
+  EALGAP_RETURN_IF_ERROR(section.ReadString("scheme", &entry->scheme));
+  EALGAP_RETURN_IF_ERROR(section.ReadI64In("ok", 0, 1, &ok));
+  entry->ok = ok == 1;
   if (entry->ok) {
-    std::string er, msle, r2, rmse, mae;
-    if (!(is >> er >> msle >> r2 >> rmse >> mae) ||
-        !ParseDoubleBitsHex(er, &entry->metrics.er) ||
-        !ParseDoubleBitsHex(msle, &entry->metrics.msle) ||
-        !ParseDoubleBitsHex(r2, &entry->metrics.r2) ||
-        !ParseDoubleBitsHex(rmse, &entry->metrics.rmse) ||
-        !ParseDoubleBitsHex(mae, &entry->metrics.mae)) {
-      return Status::ParseError("bad journal metrics in " + path + ": " + body);
-    }
+    stats::MetricReport& m = entry->metrics;
+    EALGAP_RETURN_IF_ERROR(section.ReadF64("er", &m.er));
+    EALGAP_RETURN_IF_ERROR(section.ReadF64("msle", &m.msle));
+    EALGAP_RETURN_IF_ERROR(section.ReadF64("r2", &m.r2));
+    EALGAP_RETURN_IF_ERROR(section.ReadF64("rmse", &m.rmse));
+    EALGAP_RETURN_IF_ERROR(section.ReadF64("mae", &m.mae));
   } else {
-    std::getline(is, entry->error);
-    const size_t start = entry->error.find_first_not_of(' ');
-    entry->error =
-        start == std::string::npos ? "" : entry->error.substr(start);
+    EALGAP_RETURN_IF_ERROR(section.ReadString("error", &entry->error));
   }
-  return Status::OK();
+  return section.Finish();
 }
 
 }  // namespace
 
 Status ExperimentJournal::Load() {
   entries_.clear();
-  std::ifstream in(path_);
-  if (!in) return Status::OK();  // fresh sweep: nothing recorded yet
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::ParseError("empty journal file " + path_);
+  auto reader = RecordReader::Open(path_, kJournalKind, kJournalVersion);
+  if (!reader.ok()) {
+    // A missing file is a fresh sweep: nothing recorded yet.
+    return reader.status().code() == StatusCode::kNotFound ? Status::OK()
+                                                           : reader.status();
   }
-  std::istringstream header(line);
-  std::string magic;
-  int version = 0;
-  if (!(header >> magic >> version) || magic != kJournalMagic) {
-    return Status::ParseError(path_ + " is not an ealgap experiment journal");
+  std::vector<JournalEntry> entries(reader->section_count());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    RecordSection section = reader->SectionAt(i);
+    EALGAP_RETURN_IF_ERROR(ReadCell(section, &entries[i]));
   }
-  if (version != kJournalVersion) {
-    return Status::InvalidArgument(
-        "unsupported journal version " + std::to_string(version) + " in " +
-        path_ + " (maximum supported: " + std::to_string(kJournalVersion) +
-        ")");
-  }
-  bool saw_end = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line == "end") {
-      saw_end = true;
-      break;
-    }
-    JournalEntry entry;
-    EALGAP_RETURN_IF_ERROR(ParseCell(line, path_, &entry));
-    entries_.push_back(std::move(entry));
-  }
-  if (!saw_end) {
-    return Status::ParseError("truncated journal (missing end marker) in " +
-                              path_);
-  }
+  entries_ = std::move(entries);
   return Status::OK();
 }
 
@@ -152,7 +66,25 @@ const JournalEntry* ExperimentJournal::Find(const std::string& city,
 
 Status ExperimentJournal::Record(const JournalEntry& entry) {
   entries_.push_back(entry);
-  Status st = WriteFileAtomic(path_, Serialize(entries_));
+  RecordWriter writer(kJournalKind, kJournalVersion);
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const JournalEntry& e = entries_[i];
+    writer.Section("cell." + std::to_string(i))
+        .PutString(e.city)
+        .PutString(e.period)
+        .PutString(e.scheme)
+        .PutI64(e.ok ? 1 : 0);
+    if (e.ok) {
+      writer.PutF64(e.metrics.er)
+          .PutF64(e.metrics.msle)
+          .PutF64(e.metrics.r2)
+          .PutF64(e.metrics.rmse)
+          .PutF64(e.metrics.mae);
+    } else {
+      writer.PutString(e.error);
+    }
+  }
+  Status st = writer.Commit(path_);
   if (!st.ok()) {
     // The cell is not durably recorded; do not pretend otherwise in memory.
     entries_.pop_back();

@@ -20,16 +20,16 @@ struct JournalEntry {
   std::string period;  ///< data::PeriodName, e.g. "weather"
   std::string scheme;  ///< table scheme, e.g. "EALGAP"
   bool ok = true;
-  std::string error;            ///< status summary when !ok (single line)
+  std::string error;            ///< status summary when !ok
   stats::MetricReport metrics;  ///< valid only when ok
 };
 
 /// Crash-safe progress record of an experiment sweep.
 ///
-/// One line per completed cell; metric doubles are stored as raw bit
-/// patterns so a reloaded journal reproduces them exactly; every cell line
-/// carries its own CRC32. Record() rewrites the whole file atomically
-/// (temp + fsync + rename through WriteFileAtomic), so a crash at any
+/// A "journal" record file (common/record_io.h) with one CRC'd section per
+/// completed cell, named cell.<index>; metric doubles are stored as raw
+/// bits so a reloaded journal reproduces them exactly. Record() rewrites
+/// the whole file atomically (RecordWriter::Commit), so a crash at any
 /// point — including mid-record — leaves a loadable journal describing
 /// exactly the cells that finished. `ealgap_tool experiment --resume`
 /// loads it and skips every cell already present.

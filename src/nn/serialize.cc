@@ -1,112 +1,44 @@
 #include "nn/serialize.h"
 
-#include <fstream>
-#include <limits>
-#include <sstream>
-#include <vector>
-
 namespace ealgap {
 namespace nn {
 
-namespace {
-/// Ceiling on a single parameter's element count: far above any model in
-/// this repo, low enough that a corrupted shape cannot drive a multi-GB
-/// allocation before the value parse fails.
-constexpr int64_t kMaxParameterNumel = int64_t{1} << 28;
-}  // namespace
-
-namespace {
-
-void WriteTensorLine(std::ostream& out, std::ostringstream& line,
-                     const std::string& name, const Tensor& t, LineCrc* crc) {
-  line.str("");
-  line << name << " " << t.ndim();
-  for (int64_t d : t.shape()) line << " " << d;
-  const float* data = t.data();
-  for (int64_t i = 0; i < t.numel(); ++i) line << " " << data[i];
-  const std::string text = line.str();
-  out << text << "\n";
-  if (crc != nullptr) crc->Update(text);
-}
-
-}  // namespace
-
-void WriteParameterBlock(std::ostream& out, const Module& module,
-                         int64_t* count, LineCrc* crc) {
-  int64_t n = 0;
-  std::ostringstream line;
-  line.precision(std::numeric_limits<float>::max_digits10);
-  for (const auto& [name, p] : module.NamedParameters()) {
-    WriteTensorLine(out, line, name, p.value(), crc);
-    ++n;
-  }
-  if (count != nullptr) *count = n;
-}
-
-void WriteTensorMapBlock(std::ostream& out,
-                         const std::map<std::string, Tensor>& tensors,
-                         int64_t* count, LineCrc* crc) {
-  int64_t n = 0;
-  std::ostringstream line;
-  line.precision(std::numeric_limits<float>::max_digits10);
+void PutTensors(RecordWriter& writer,
+                const std::map<std::string, Tensor>& tensors) {
+  writer.PutU64(tensors.size());
   for (const auto& [name, t] : tensors) {
-    WriteTensorLine(out, line, name, t, crc);
-    ++n;
+    writer.PutString(name).PutShape(t.shape().data(), t.shape().size());
+    writer.PutBytes(
+        {reinterpret_cast<const char*>(t.data()),
+         static_cast<size_t>(t.numel()) * sizeof(float)});
   }
-  if (count != nullptr) *count = n;
 }
 
-Status ReadParameterBlock(std::istream& in, int64_t count,
-                          std::map<std::string, Tensor>* loaded,
-                          const std::string& context, LineCrc* crc) {
-  std::string line;
-  int64_t read = 0;
-  while ((count < 0 || read < count) && std::getline(in, line)) {
-    // Every consumed line feeds the CRC — a well-formed writer never emits
-    // blank lines inside a checksummed block, so a stray one is corruption
-    // and shows up as a CRC mismatch.
-    if (crc != nullptr) crc->Update(line);
-    if (line.empty()) continue;
-    std::istringstream is(line);
-    std::string name;
-    int64_t rank = 0;
-    if (!(is >> name >> rank) || rank < 0 || rank > 8) {
-      return Status::ParseError("bad checkpoint line in " + context);
-    }
-    Shape shape(rank);
-    int64_t numel = 1;
-    for (int64_t i = 0; i < rank; ++i) {
-      if (!(is >> shape[i])) {
-        return Status::ParseError("bad shape for " + name + " in " + context);
-      }
-      // A zero or negative dimension in a corrupt header is named here —
-      // it must never survive into tensor allocation or an OOB copy.
-      if (shape[i] < 1) {
-        return Status::ParseError(
-            "parameter " + name + " dimension " + std::to_string(i) + " is " +
-            std::to_string(shape[i]) + " (must be >= 1) in " + context);
-      }
-      if (shape[i] > kMaxParameterNumel ||
-          numel * shape[i] > kMaxParameterNumel) {
-        return Status::ParseError("bad shape for " + name + " in " + context);
-      }
-      numel *= shape[i];
-    }
-    const int64_t n = ShapeNumel(shape);
-    std::vector<float> values(n);
-    for (int64_t i = 0; i < n; ++i) {
-      if (!(is >> values[i])) {
-        return Status::ParseError("truncated values for " + name + " in " +
-                                  context);
-      }
-    }
-    loaded->insert_or_assign(name, Tensor::FromVector(shape, std::move(values)));
-    ++read;
+std::map<std::string, Tensor> ParameterMap(const Module& module) {
+  std::map<std::string, Tensor> out;
+  for (const auto& [name, p] : module.NamedParameters()) {
+    out.emplace(name, p.value());
   }
-  if (count >= 0 && read < count) {
-    return Status::ParseError("expected " + std::to_string(count) +
-                              " parameters, found " + std::to_string(read) +
-                              " in " + context);
+  return out;
+}
+
+Status ReadTensors(RecordSection& section,
+                   std::map<std::string, Tensor>* out) {
+  uint64_t count = 0;
+  // Each record holds at least a name length and a rank (8 bytes).
+  EALGAP_RETURN_IF_ERROR(section.ReadCount("tensors", 8, &count));
+  for (uint64_t i = 0; i < count; ++i) {
+    std::string name;
+    EALGAP_RETURN_IF_ERROR(section.ReadString("tensor name", &name));
+    std::vector<int64_t> dims;
+    int64_t numel = 0;
+    EALGAP_RETURN_IF_ERROR(section.ReadShape(name, &dims, &numel));
+    Tensor t(Shape(dims.begin(), dims.end()));
+    EALGAP_RETURN_IF_ERROR(
+        section.ReadF32Values(name, t.data(), static_cast<size_t>(numel)));
+    if (!out->emplace(std::move(name), std::move(t)).second) {
+      return section.Error("tensor name", "duplicate tensor");
+    }
   }
   return Status::OK();
 }
@@ -129,22 +61,6 @@ Status ApplyParameters(Module& module,
     const_cast<Tensor&>(p.value()).CopyFrom(it->second);
   }
   return Status::OK();
-}
-
-Status SaveParameters(const Module& module, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  WriteParameterBlock(out, module);
-  if (!out) return Status::IoError("write failed for " + path);
-  return Status::OK();
-}
-
-Status LoadParameters(Module& module, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::map<std::string, Tensor> loaded;
-  EALGAP_RETURN_IF_ERROR(ReadParameterBlock(in, -1, &loaded, path));
-  return ApplyParameters(module, loaded, path);
 }
 
 }  // namespace nn

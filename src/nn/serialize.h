@@ -1,57 +1,33 @@
 #ifndef EALGAP_NN_SERIALIZE_H_
 #define EALGAP_NN_SERIALIZE_H_
 
-#include <iosfwd>
 #include <map>
 #include <string>
 
-#include "common/checksum.h"
+#include "common/record_io.h"
 #include "common/status.h"
 #include "nn/module.h"
 
 namespace ealgap {
 namespace nn {
 
-/// Saves all named parameters of `module` to a plain-text checkpoint:
-///   <name> <rank> <d0> ... <dk> <v0> <v1> ...
-/// one parameter per line. Portable and diff-able; fine at our model sizes.
-/// Values are written with float max_digits10 precision, so a save/load
-/// round-trip restores every parameter bit-exactly.
-Status SaveParameters(const Module& module, const std::string& path);
+/// Appends `tensors` to the open section of `writer` as a u64 count
+/// followed by (string name, shape, raw f32 values) records in map order —
+/// the payload of every parameter-like checkpoint section (model weights,
+/// optimizer moments, best-validation snapshots).
+void PutTensors(RecordWriter& writer,
+                const std::map<std::string, Tensor>& tensors);
 
-/// Loads a checkpoint produced by SaveParameters into `module`. Every
-/// parameter in the module must be present in the file with a matching
-/// shape (extra file entries are ignored).
-Status LoadParameters(Module& module, const std::string& path);
+/// The named parameters of `module` (shared handles, no copies), ready for
+/// PutTensors.
+std::map<std::string, Tensor> ParameterMap(const Module& module);
 
-/// Stream-level building blocks shared by SaveParameters/LoadParameters and
-/// the versioned model checkpoints of NeuralForecaster::SaveCheckpoint.
-
-/// Writes every named parameter of `module` to `out`, one per line in the
-/// format above. Returns the number of lines written via `count` when
-/// non-null. When `crc` is non-null, every written line (with its '\n') is
-/// folded into it, giving the block a CRC32 the reader can verify.
-void WriteParameterBlock(std::ostream& out, const Module& module,
-                         int64_t* count = nullptr, LineCrc* crc = nullptr);
-
-/// Reads exactly `count` parameter lines (or, when count < 0, every
-/// remaining non-empty line) from `in` into `loaded`. Malformed lines,
-/// absurd shapes, and truncated value lists produce a Status error —
-/// never a crash or an unbounded allocation. `context` names the source
-/// in error messages. When `crc` is non-null, consumed lines are folded
-/// into it exactly as WriteParameterBlock does on the writing side, so a
-/// checksummed block detects any in-block corruption the parser cannot.
-Status ReadParameterBlock(std::istream& in, int64_t count,
-                          std::map<std::string, Tensor>* loaded,
-                          const std::string& context, LineCrc* crc = nullptr);
-
-/// Writes an arbitrary name -> Tensor map in the same line format (and
-/// deterministic map order), so non-module tensors — optimizer moments,
-/// best-validation snapshots — can ride in checksummed checkpoint blocks
-/// that ReadParameterBlock parses back.
-void WriteTensorMapBlock(std::ostream& out,
-                         const std::map<std::string, Tensor>& tensors,
-                         int64_t* count = nullptr, LineCrc* crc = nullptr);
+/// Reads a PutTensors payload into `out`. Shapes and counts are bounded by
+/// the bytes in the section before any tensor is allocated; a zero or
+/// negative dimension, a duplicate name, or a short payload is a
+/// ParseError naming the tensor.
+Status ReadTensors(RecordSection& section,
+                   std::map<std::string, Tensor>* out);
 
 /// Copies `loaded` entries into the matching parameters of `module`.
 /// Every module parameter must be present with an identical shape.

@@ -3,23 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "common/arena.h"
-#include "common/checksum.h"
 #include "common/fault_injection.h"
-#include "common/file_util.h"
-#include "common/float_bits.h"
-#include "nn/serialize.h"
+#include "common/record_io.h"
 
 namespace ealgap {
 namespace serve {
 
 namespace {
 
-constexpr const char* kAdaptStateMagic = "ealgap-adapt-state";
-constexpr int kAdaptStateVersion = 1;
+constexpr char kAdaptStateKind[] = "adapt-state";
+constexpr uint32_t kAdaptStateVersion = 2;
 
 data::WindowSample CloneSample(const data::WindowSample& s) {
   data::WindowSample out;
@@ -388,110 +384,66 @@ Result<AdaptEvent> AdaptivePredictor::MaybeAdapt() {
 }
 
 Status AdaptivePredictor::SaveState(const std::string& path) const {
-  std::ostringstream body;
-  body << "model " << name() << "\n";
-  body << "regions " << cusum_.size() << "\n";
-  body << "guard " << (frozen_ ? 1 : 0) << " " << failed_streak_ << " "
-       << observed_since_attempt_ << " " << observed_since_freeze_ << " "
-       << (pending_trigger_ ? 1 : 0) << "\n";
-  std::ostringstream line;
-  line << "ewma";
-  for (double v : ewma_) line << " " << DoubleBitsHex(v);
-  body << line.str() << "\n";
-  line.str("");
-  line << "cusum";
-  for (double v : cusum_) line << " " << DoubleBitsHex(v);
-  body << line.str() << "\n";
-
-  std::ostringstream out;
-  out << kAdaptStateMagic << " " << kAdaptStateVersion << "\n";
-  out << body.str();
-  out << "crc " << Crc32Hex(Crc32(body.str())) << "\n";
-  out << "end\n";
-  return WriteFileAtomic(path, out.str());
+  RecordWriter writer(kAdaptStateKind, kAdaptStateVersion);
+  writer.Section("model").PutString(name());
+  writer.Section("guard")
+      .PutI64(frozen_ ? 1 : 0)
+      .PutI64(failed_streak_)
+      .PutI64(observed_since_attempt_)
+      .PutI64(observed_since_freeze_)
+      .PutI64(pending_trigger_ ? 1 : 0);
+  writer.Section("detector")
+      .PutI64(static_cast<int64_t>(cusum_.size()))
+      .PutF64s(ewma_.data(), ewma_.size())
+      .PutF64s(cusum_.data(), cusum_.size());
+  return writer.Commit(path);
 }
 
 Status AdaptivePredictor::LoadState(const std::string& path) {
-  EALGAP_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
-  std::istringstream in(text);
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kAdaptStateMagic) {
-    return Status::ParseError(path + " is not an adapt-state file");
-  }
-  if (version != kAdaptStateVersion) {
-    return Status::InvalidArgument("unsupported adapt-state version " +
-                                   std::to_string(version) + " in " + path);
-  }
-  // Everything between the magic line and the crc line is checksummed.
-  const size_t body_begin = text.find('\n');
-  const size_t body_end = text.find("\ncrc ");
-  if (body_begin == std::string::npos || body_end == std::string::npos ||
-      body_end < body_begin) {
-    return Status::ParseError("missing crc line in " + path);
-  }
-  const std::string body =
-      text.substr(body_begin + 1, body_end - body_begin);
-
-  std::string tag, model_name;
-  if (!(in >> tag >> model_name) || tag != "model") {
-    return Status::ParseError("missing model line in " + path);
-  }
+  EALGAP_ASSIGN_OR_RETURN(
+      RecordReader reader,
+      RecordReader::Open(path, kAdaptStateKind, kAdaptStateVersion));
+  EALGAP_ASSIGN_OR_RETURN(std::string model_name,
+                          reader.StringSection("model"));
   if (model_name != name()) {
     return Status::InvalidArgument("adapt state was captured for model " +
                                    model_name + " but this model is " +
                                    name());
   }
-  int64_t regions = 0;
-  if (!(in >> tag >> regions) || tag != "regions") {
-    return Status::ParseError("missing regions line in " + path);
+  int64_t frozen = 0, streak = 0, since_attempt = 0, since_freeze = 0;
+  int64_t trigger = 0;
+  {
+    EALGAP_ASSIGN_OR_RETURN(RecordSection section, reader.Section("guard"));
+    EALGAP_RETURN_IF_ERROR(section.ReadI64In("frozen", 0, 1, &frozen));
+    EALGAP_RETURN_IF_ERROR(
+        section.ReadI64In("failed_streak", 0, 1 << 30, &streak));
+    EALGAP_RETURN_IF_ERROR(section.ReadI64In("observed_since_attempt", 0,
+                                             INT64_MAX, &since_attempt));
+    EALGAP_RETURN_IF_ERROR(section.ReadI64In("observed_since_freeze", 0,
+                                             INT64_MAX, &since_freeze));
+    EALGAP_RETURN_IF_ERROR(
+        section.ReadI64In("pending_trigger", 0, 1, &trigger));
+    EALGAP_RETURN_IF_ERROR(section.Finish());
   }
-  if (regions < 0 || regions > (1 << 20)) {
-    return Status::ParseError("regions count " + std::to_string(regions) +
-                              " out of range [0, 2^20] in " + path);
-  }
-  int frozen = 0, trigger = 0;
-  int streak = 0;
-  int64_t since_attempt = 0, since_freeze = 0;
-  if (!(in >> tag >> frozen >> streak >> since_attempt >> since_freeze >>
-        trigger) ||
-      tag != "guard" || frozen < 0 || frozen > 1 || streak < 0 ||
-      since_attempt < 0 || since_freeze < 0 || trigger < 0 || trigger > 1) {
-    return Status::ParseError("bad guard line in " + path);
-  }
-  std::vector<double> ewma(static_cast<size_t>(regions));
-  std::vector<double> cusum(static_cast<size_t>(regions));
-  for (auto* vec : {&ewma, &cusum}) {
-    const char* want = vec == &ewma ? "ewma" : "cusum";
-    if (!(in >> tag) || tag != want) {
-      return Status::ParseError(std::string("missing ") + want + " line in " +
-                                path);
+  std::vector<double> ewma, cusum;
+  {
+    EALGAP_ASSIGN_OR_RETURN(RecordSection section,
+                            reader.Section("detector"));
+    int64_t regions = 0;
+    EALGAP_RETURN_IF_ERROR(section.ReadI64In("regions", 0, 1 << 20, &regions));
+    EALGAP_RETURN_IF_ERROR(section.ReadF64s("ewma", &ewma));
+    EALGAP_RETURN_IF_ERROR(section.ReadF64s("cusum", &cusum));
+    EALGAP_RETURN_IF_ERROR(section.Finish());
+    if (static_cast<int64_t>(ewma.size()) != regions ||
+        static_cast<int64_t>(cusum.size()) != regions) {
+      return section.Error("cusum", "detector arrays do not hold " +
+                                        std::to_string(regions) + " regions");
     }
-    for (double& v : *vec) {
-      std::string hex;
-      if (!(in >> hex) || !ParseDoubleBitsHex(hex, &v)) {
-        return Status::ParseError(std::string("bad ") + want + " value in " +
-                                  path);
-      }
-    }
-  }
-  std::string crc_hex;
-  uint32_t want_crc = 0;
-  if (!(in >> tag >> crc_hex) || tag != "crc" ||
-      !ParseCrc32Hex(crc_hex, &want_crc)) {
-    return Status::ParseError("missing crc line in " + path);
-  }
-  if (Crc32(body) != want_crc) {
-    return Status::ParseError("adapt-state checksum mismatch in " + path);
-  }
-  if (!(in >> tag) || tag != "end") {
-    return Status::ParseError("missing end marker in " + path +
-                              " (truncated file)");
   }
 
   frozen_ = frozen == 1;
   stats_.frozen = frozen_;
-  failed_streak_ = streak;
+  failed_streak_ = static_cast<int>(streak);
   observed_since_attempt_ = since_attempt;
   observed_since_freeze_ = since_freeze;
   pending_trigger_ = trigger == 1;

@@ -2,22 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <sstream>
 
-#include "common/checksum.h"
-#include "common/file_util.h"
 #include "common/logging.h"
+#include "common/record_io.h"
 #include "common/thread_pool.h"
 
 namespace ealgap {
 namespace serve {
 
 namespace {
-constexpr char kStateMagic[] = "ealgap-serve-state";
-// v2: the ring/slot/window_sum body is preceded by a `body <lines> <crc>`
-// header and the file is written atomically; v1 files are no longer read.
-constexpr int kStateVersion = 2;
+constexpr char kStateKind[] = "serve-state";
+// v3: a record file (common/record_io.h); the v2 text layout is not read.
+constexpr uint32_t kStateVersion = 3;
 }  // namespace
 
 Result<RepairPolicy> ParseRepairPolicy(const std::string& name) {
@@ -455,75 +451,50 @@ double OnlinePredictor::ExponentialRate(int region) const {
 }
 
 Status OnlinePredictor::SaveState(const std::string& path) const {
-  std::ostringstream header;
-  header << kStateMagic << " " << kStateVersion << "\n";
-  header << "model " << model_->name() << "\n";
-  header << "geometry " << num_regions_ << " " << steps_per_day_ << " "
-         << options_.history_length << " " << options_.num_windows << " "
-         << options_.norm_history << "\n";
-  header << "start " << start_date_.year << " " << start_date_.month << " "
-         << start_date_.day << "\n";
-  header << "next_step " << next_step_ << "\n";
-
-  // The bulk state goes into a checksummed body block: `body <lines> <crc>`
-  // followed by exactly that many lines, CRC32 accumulated per line.
-  std::ostringstream body;
-  LineCrc crc;
-  int64_t lines = 0;
-  std::ostringstream line;
-  auto emit = [&] {
-    const std::string text = line.str();
-    body << text << "\n";
-    crc.Update(text);
-    ++lines;
-    line.str("");
-  };
-  line.precision(std::numeric_limits<float>::max_digits10);
-  // Ring rows for steps [next_step - W, next_step), oldest first.
-  for (int64_t s = next_step_ - window_span_; s < next_step_; ++s) {
-    const int64_t base = RingIndex(s);
-    line << "ring";
-    for (int r = 0; r < num_regions_; ++r) line << " " << ring_x_[base + r];
-    for (int r = 0; r < num_regions_; ++r) line << " " << ring_mu_[base + r];
-    for (int r = 0; r < num_regions_; ++r) line << " " << ring_sigma_[base + r];
-    emit();
+  RecordWriter writer(kStateKind, kStateVersion);
+  writer.Section("model").PutString(model_->name());
+  writer.Section("geometry")
+      .PutI64(num_regions_)
+      .PutI64(steps_per_day_)
+      .PutI64(options_.history_length)
+      .PutI64(options_.num_windows)
+      .PutI64(options_.norm_history);
+  writer.Section("stream")
+      .PutI64(start_date_.year)
+      .PutI64(start_date_.month)
+      .PutI64(start_date_.day)
+      .PutI64(next_step_);
+  // Ring and slot buffers go out in their in-memory layout: where step s
+  // lives follows from next_step and the geometry, both saved above.
+  writer.Section("ring")
+      .PutF32s(ring_x_.data(), ring_x_.size())
+      .PutF32s(ring_mu_.data(), ring_mu_.size())
+      .PutF32s(ring_sigma_.data(), ring_sigma_.size());
+  writer.Section("slots");
+  for (size_t i = 0; i < slot_head_.size(); ++i) {
+    writer.PutI64(slot_head_[i]).PutI64(slot_count_[i]);
   }
-  // Slot rows oldest-first — the order LoadState re-inserts them in, which
-  // keeps the circular window's age resolution identical after a restore.
-  const int num_slots = 2 * steps_per_day_;
-  for (int i = 0; i < num_slots; ++i) {
-    line << "slot " << i << " " << slot_count_[i];
-    for (int j = 0; j < slot_count_[i]; ++j) {
-      const float* row = SlotRowOldest(i, j);
-      for (int r = 0; r < num_regions_; ++r) line << " " << row[r];
-    }
-    emit();
-  }
-  line.precision(std::numeric_limits<double>::max_digits10);
-  line << "window_sum";
-  for (double v : window_sum_) line << " " << v;
-  emit();
-
-  std::ostringstream out;
-  out << header.str();
-  out << "body " << lines << " " << Crc32Hex(crc.value()) << "\n";
-  out << body.str();
-  out << "end\n";
-  return WriteFileAtomic(path, out.str());
+  writer.PutF32s(slot_data_.data(), slot_data_.size());
+  writer.Section("window_sum").PutF64s(window_sum_.data(), window_sum_.size());
+  return writer.Commit(path);
 }
 
 namespace {
 
-/// Reads `tag value...` header tokens, returning ParseError with the file
-/// name on mismatch — lets LoadState propagate via EALGAP_RETURN_IF_ERROR
-/// instead of hand-rolled if-chains.
-Status ExpectTag(std::istream& in, const std::string& want,
-                 const std::string& path) {
-  std::string tag;
-  if (!(in >> tag) || tag != want) {
-    return Status::ParseError("missing " + want + " line in " + path);
+/// A f32 array whose length the geometry fixes: the count is checked
+/// against the bytes in the file and against `expected` before `dst` is
+/// sized from it.
+Status ReadGeometryBuffer(RecordSection& section, std::string_view field,
+                          int64_t expected, AlignedBuffer<float>* dst) {
+  uint64_t count = 0;
+  EALGAP_RETURN_IF_ERROR(section.ReadCount(field, sizeof(float), &count));
+  if (count != static_cast<uint64_t>(expected)) {
+    return section.Error(field, "holds " + std::to_string(count) +
+                                    " values but the geometry needs " +
+                                    std::to_string(expected));
   }
-  return Status::OK();
+  dst->Reset(static_cast<size_t>(count));
+  return section.ReadF32Values(field, dst->data(), dst->size());
 }
 
 }  // namespace
@@ -537,23 +508,10 @@ Result<OnlinePredictor> OnlinePredictor::LoadState(const std::string& path,
     return Status::InvalidArgument(model->name() +
                                    " does not support streaming prediction");
   }
-  EALGAP_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
-  std::istringstream in(text);
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kStateMagic) {
-    return Status::ParseError(path + " is not a serve-state file");
-  }
-  if (version != kStateVersion) {
-    return Status::InvalidArgument(
-        "unsupported serve-state version " + std::to_string(version) + " in " +
-        path + " (maximum supported: " + std::to_string(kStateVersion) + ")");
-  }
-  EALGAP_RETURN_IF_ERROR(ExpectTag(in, "model", path));
-  std::string model_name;
-  if (!(in >> model_name)) {
-    return Status::ParseError("missing model name in " + path);
-  }
+  EALGAP_ASSIGN_OR_RETURN(RecordReader reader,
+                          RecordReader::Open(path, kStateKind, kStateVersion));
+  EALGAP_ASSIGN_OR_RETURN(std::string model_name,
+                          reader.StringSection("model"));
   if (model_name != model->name()) {
     return Status::InvalidArgument("state was captured for model " +
                                    model_name + " but this model is " +
@@ -561,141 +519,78 @@ Result<OnlinePredictor> OnlinePredictor::LoadState(const std::string& path,
   }
   OnlinePredictor p;
   p.model_ = model;
-  int64_t l = 0, m = 0, nh = 0;
-  EALGAP_RETURN_IF_ERROR(ExpectTag(in, "geometry", path));
-  if (!(in >> p.num_regions_ >> p.steps_per_day_ >> l >> m >> nh)) {
-    return Status::ParseError("bad geometry line in " + path);
+  int64_t n = 0, spd = 0, l = 0, m = 0, nh = 0;
+  {
+    // Each geometry field is range-checked by name: a zero or negative
+    // count must die here, not as an OOB index when buffers are sized.
+    EALGAP_ASSIGN_OR_RETURN(RecordSection section,
+                            reader.Section("geometry"));
+    EALGAP_RETURN_IF_ERROR(section.ReadI64In("num_regions", 1, 1 << 20, &n));
+    EALGAP_RETURN_IF_ERROR(section.ReadI64In("steps_per_day", 1, 1440, &spd));
+    EALGAP_RETURN_IF_ERROR(section.ReadI64In("history_length", 1, 4096, &l));
+    EALGAP_RETURN_IF_ERROR(section.ReadI64In("num_windows", 1, 4096, &m));
+    EALGAP_RETURN_IF_ERROR(section.ReadI64In("norm_history", 1, 4096, &nh));
+    EALGAP_RETURN_IF_ERROR(section.Finish());
   }
-  // Each geometry field is validated by name: a zero or negative count from
-  // a corrupt header must die here, not as an OOB index or a giant
-  // allocation when the rings are sized from it.
-  auto field_in_range = [&](const char* field, int64_t v, int64_t lo,
-                            int64_t hi) -> Status {
-    if (v < lo || v > hi) {
-      return Status::ParseError(
-          "geometry field " + std::string(field) + " = " + std::to_string(v) +
-          " out of range [" + std::to_string(lo) + ", " + std::to_string(hi) +
-          "] in " + path);
-    }
-    return Status::OK();
-  };
-  EALGAP_RETURN_IF_ERROR(
-      field_in_range("num_regions", p.num_regions_, 1, 1 << 20));
-  EALGAP_RETURN_IF_ERROR(
-      field_in_range("steps_per_day", p.steps_per_day_, 1, 1440));
-  EALGAP_RETURN_IF_ERROR(field_in_range("history_length", l, 1, 4096));
-  EALGAP_RETURN_IF_ERROR(field_in_range("num_windows", m, 1, 4096));
-  EALGAP_RETURN_IF_ERROR(field_in_range("norm_history", nh, 1, 4096));
+  p.num_regions_ = static_cast<int>(n);
+  p.steps_per_day_ = static_cast<int>(spd);
   p.options_.history_length = static_cast<int>(l);
   p.options_.num_windows = static_cast<int>(m);
   p.options_.norm_history = static_cast<int>(nh);
-  EALGAP_RETURN_IF_ERROR(ExpectTag(in, "start", path));
-  if (!(in >> p.start_date_.year >> p.start_date_.month >>
-        p.start_date_.day) ||
-      p.start_date_.month < 1 || p.start_date_.month > 12 ||
-      p.start_date_.day < 1 || p.start_date_.day > 31) {
-    return Status::ParseError("bad start line in " + path);
+  p.window_span_ = spd * (m - 1) + l;
+  {
+    EALGAP_ASSIGN_OR_RETURN(RecordSection section, reader.Section("stream"));
+    int64_t year = 0, month = 0, day = 0;
+    EALGAP_RETURN_IF_ERROR(section.ReadI64In("year", 1, 9999, &year));
+    EALGAP_RETURN_IF_ERROR(section.ReadI64In("month", 1, 12, &month));
+    EALGAP_RETURN_IF_ERROR(section.ReadI64In("day", 1, 31, &day));
+    p.start_date_ = {static_cast<int>(year), static_cast<int>(month),
+                     static_cast<int>(day)};
+    EALGAP_RETURN_IF_ERROR(section.ReadI64("next_step", &p.next_step_));
+    EALGAP_RETURN_IF_ERROR(section.Finish());
   }
-  EALGAP_RETURN_IF_ERROR(ExpectTag(in, "next_step", path));
-  if (!(in >> p.next_step_)) {
-    return Status::ParseError("bad next_step line in " + path);
-  }
-  p.window_span_ = static_cast<int64_t>(p.steps_per_day_) * (m - 1) + l;
   if (p.next_step_ < p.MinFirstTarget()) {
     return Status::InvalidArgument("serve state has too little history");
   }
-
-  // Body block: verify the CRC over the exact stored lines before parsing
-  // a single value — a bit flip anywhere in the bulk state is caught even
-  // when it still reads as a valid number.
-  EALGAP_RETURN_IF_ERROR(ExpectTag(in, "body", path));
-  int64_t body_lines = 0;
-  std::string crc_hex;
-  uint32_t stored_crc = 0;
-  if (!(in >> body_lines >> crc_hex) || body_lines < 0 ||
-      !ParseCrc32Hex(crc_hex, &stored_crc)) {
-    return Status::ParseError("bad body header in " + path);
+  {
+    EALGAP_ASSIGN_OR_RETURN(RecordSection section, reader.Section("ring"));
+    const int64_t cells = p.window_span_ * n;
+    EALGAP_RETURN_IF_ERROR(
+        ReadGeometryBuffer(section, "ring_x", cells, &p.ring_x_));
+    EALGAP_RETURN_IF_ERROR(
+        ReadGeometryBuffer(section, "ring_mu", cells, &p.ring_mu_));
+    EALGAP_RETURN_IF_ERROR(
+        ReadGeometryBuffer(section, "ring_sigma", cells, &p.ring_sigma_));
+    EALGAP_RETURN_IF_ERROR(section.Finish());
   }
-  const int64_t expected_lines = p.window_span_ +
-                                 2 * static_cast<int64_t>(p.steps_per_day_) +
-                                 1;
-  if (body_lines != expected_lines) {
-    return Status::ParseError("body line count " + std::to_string(body_lines) +
-                              " does not match geometry in " + path);
+  {
+    EALGAP_ASSIGN_OR_RETURN(RecordSection section, reader.Section("slots"));
+    const int64_t slots = 2 * spd;
+    p.slot_head_.assign(slots, 0);
+    p.slot_count_.assign(slots, 0);
+    for (int64_t i = 0; i < slots; ++i) {
+      int64_t head = 0, count = 0;
+      EALGAP_RETURN_IF_ERROR(section.ReadI64In("head", 0, nh - 1, &head));
+      EALGAP_RETURN_IF_ERROR(section.ReadI64In("count", 0, nh, &count));
+      p.slot_head_[i] = static_cast<int>(head);
+      p.slot_count_[i] = static_cast<int>(count);
+    }
+    EALGAP_RETURN_IF_ERROR(
+        ReadGeometryBuffer(section, "rows", slots * nh * n, &p.slot_data_));
+    EALGAP_RETURN_IF_ERROR(section.Finish());
   }
-  std::string line;
-  std::getline(in, line);  // finish the body header line
-  std::ostringstream body_text;
-  LineCrc crc;
-  for (int64_t i = 0; i < body_lines; ++i) {
-    if (!std::getline(in, line)) {
-      return Status::ParseError("truncated body block in " + path);
+  {
+    EALGAP_ASSIGN_OR_RETURN(RecordSection section,
+                            reader.Section("window_sum"));
+    EALGAP_RETURN_IF_ERROR(section.ReadF64s("sums", &p.window_sum_));
+    if (static_cast<int64_t>(p.window_sum_.size()) != n) {
+      return section.Error("sums", "holds " +
+                                       std::to_string(p.window_sum_.size()) +
+                                       " values but the geometry has " +
+                                       std::to_string(n) + " regions");
     }
-    crc.Update(line);
-    body_text << line << "\n";
+    EALGAP_RETURN_IF_ERROR(section.Finish());
   }
-  if (crc.value() != stored_crc) {
-    return Status::ParseError("state body CRC mismatch in " + path +
-                              ": stored " + crc_hex + ", computed " +
-                              Crc32Hex(crc.value()));
-  }
-
-  std::istringstream body(body_text.str());
-  const int n = p.num_regions_;
-  p.ring_x_.Reset(p.window_span_ * n);
-  p.ring_mu_.Reset(p.window_span_ * n);
-  p.ring_sigma_.Reset(p.window_span_ * n);
-  for (int64_t s = p.next_step_ - p.window_span_; s < p.next_step_; ++s) {
-    EALGAP_RETURN_IF_ERROR(ExpectTag(body, "ring", path));
-    const int64_t base = p.RingIndex(s);
-    for (int r = 0; r < n; ++r) {
-      if (!(body >> p.ring_x_[base + r])) {
-        return Status::ParseError("truncated ring row in " + path);
-      }
-    }
-    for (int r = 0; r < n; ++r) {
-      if (!(body >> p.ring_mu_[base + r])) {
-        return Status::ParseError("truncated ring row in " + path);
-      }
-    }
-    for (int r = 0; r < n; ++r) {
-      if (!(body >> p.ring_sigma_[base + r])) {
-        return Status::ParseError("truncated ring row in " + path);
-      }
-    }
-  }
-  p.InitSlotStorage();
-  const int num_slots = 2 * p.steps_per_day_;
-  for (int i = 0; i < num_slots; ++i) {
-    size_t idx = 0, count = 0;
-    EALGAP_RETURN_IF_ERROR(ExpectTag(body, "slot", path));
-    if (!(body >> idx >> count) || idx != static_cast<size_t>(i) ||
-        count > static_cast<size_t>(nh)) {
-      return Status::ParseError("bad slot header in " + path);
-    }
-    // Rows are stored oldest-first; with head at 0 the j-th row read is
-    // exactly the j-th oldest, so age resolution survives the round trip.
-    p.slot_count_[i] = static_cast<int>(count);
-    for (size_t j = 0; j < count; ++j) {
-      float* row = p.slot_data_.data() +
-                   (static_cast<int64_t>(i) * nh + static_cast<int64_t>(j)) *
-                       n;
-      for (int r = 0; r < n; ++r) {
-        if (!(body >> row[r])) {
-          return Status::ParseError("truncated slot row in " + path);
-        }
-      }
-    }
-  }
-  EALGAP_RETURN_IF_ERROR(ExpectTag(body, "window_sum", path));
-  p.window_sum_.assign(n, 0.0);
-  for (int r = 0; r < n; ++r) {
-    if (!(body >> p.window_sum_[r])) {
-      return Status::ParseError("truncated window_sum in " + path);
-    }
-  }
-  EALGAP_RETURN_IF_ERROR(
-      ExpectTag(in, "end", path));
   p.guard_stats_.quarantine.assign(n, 0);
   p.InitScratch();
   return p;

@@ -177,8 +177,8 @@ class OnlinePredictor {
   const Arena* arena() const { return arena_.get(); }
 
   /// Serializes the incremental state (ring, accumulators, calendar) to a
-  /// plain-text file, CRC-checksummed and written atomically (temp file +
-  /// fsync + rename), so a crash mid-save can never leave a torn file.
+  /// "serve-state" record file (common/record_io.h), CRC'd per section and
+  /// written atomically, so a crash mid-save can never leave a torn file.
   /// Together with the model's SaveCheckpoint this makes a serving node
   /// restartable mid-stream with bit-identical predictions.
   Status SaveState(const std::string& path) const;

@@ -181,21 +181,23 @@ void Shard::BeginQuarantine(int64_t now_tick, bool injected_crash) {
   probation_healthy_ = 0;
 }
 
-void Shard::AccumulateIncarnation() {
-  if (auto* ap = adaptive()) totals_.adapt.Accumulate(ap->stats());
+void Shard::FoldIncarnation(ShardTotals* out) const {
+  if (const AdaptivePredictor* ap = adaptive()) {
+    out->adapt.Accumulate(ap->stats());
+  }
   const GuardStats& gs = predictor_->guard_stats();
-  totals_.repaired_values += gs.repaired_values;
-  totals_.gap_steps_filled += gs.gap_steps_filled;
-  if (totals_.quarantine_by_region.size() < gs.quarantine.size()) {
-    totals_.quarantine_by_region.resize(gs.quarantine.size(), 0);
+  out->repaired_values += gs.repaired_values;
+  out->gap_steps_filled += gs.gap_steps_filled;
+  if (out->quarantine_by_region.size() < gs.quarantine.size()) {
+    out->quarantine_by_region.resize(gs.quarantine.size(), 0);
   }
   for (size_t r = 0; r < gs.quarantine.size(); ++r) {
-    totals_.quarantine_by_region[r] += gs.quarantine[r];
+    out->quarantine_by_region[r] += gs.quarantine[r];
   }
 }
 
 Status Shard::Restart() {
-  AccumulateIncarnation();  // the dying incarnation's guard counters
+  FoldIncarnation(&totals_);  // the dying incarnation's counters
 
   bool restored = false;
   if (!config_.state_dir.empty()) {
@@ -287,18 +289,7 @@ void Shard::MaybeCheckpoint() {
 
 ShardTotals Shard::Totals() const {
   ShardTotals out = totals_;
-  if (auto* ap = dynamic_cast<const AdaptivePredictor*>(model_.get())) {
-    out.adapt.Accumulate(ap->stats());
-  }
-  const GuardStats& gs = predictor_->guard_stats();
-  out.repaired_values += gs.repaired_values;
-  out.gap_steps_filled += gs.gap_steps_filled;
-  if (out.quarantine_by_region.size() < gs.quarantine.size()) {
-    out.quarantine_by_region.resize(gs.quarantine.size(), 0);
-  }
-  for (size_t r = 0; r < gs.quarantine.size(); ++r) {
-    out.quarantine_by_region[r] += gs.quarantine[r];
-  }
+  FoldIncarnation(&out);
   return out;
 }
 

@@ -216,7 +216,7 @@ class Shard {
   OnlinePredictor* predictor() { return predictor_.get(); }
   /// Non-null when serving through a test-time-adaptation wrapper. May be
   /// replaced by a restart-from-checkpoint; do not hold across ticks.
-  AdaptivePredictor* adaptive() {
+  AdaptivePredictor* adaptive() const {
     return dynamic_cast<AdaptivePredictor*>(model_.get());
   }
 
@@ -231,8 +231,9 @@ class Shard {
 
   /// Builds predictor+chain around `model_` from a fresh dataset seed.
   Status SeedPredictor();
-  /// Folds the live incarnation's guard/degradation counters into totals_.
-  void AccumulateIncarnation();
+  /// Folds the live incarnation's adaptation and guard counters into
+  /// `out` (totals_ at a restart, a copy of it for Totals()).
+  void FoldIncarnation(ShardTotals* out) const;
 
   ShardConfig config_;
   data::SlidingWindowDataset dataset_;

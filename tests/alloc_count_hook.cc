@@ -1,8 +1,9 @@
-// Heap-allocation interposition for the zero-allocation serve tests.
+// Heap-allocation interposition for the allocation tests.
 //
-// Linked ONLY into alloc_guard_test: interposes the glibc malloc family
-// (which operator new and std::aligned_alloc route through at the symbol
-// level) and ticks the thread-local counters in common/alloc_count.h.
+// Linked ONLY into alloc_guard_test and record_io_test (which bounds what a
+// damaged file can make a loader allocate): interposes the glibc malloc
+// family (which operator new and std::aligned_alloc route through at the
+// symbol level) and ticks the thread-local counters in common/alloc_count.h.
 // Everything forwards to the real __libc_* entry points, so behavior is
 // unchanged — the hook only observes.
 //

@@ -218,7 +218,8 @@ TEST(ExperimentJournalTest, CorruptedCellLineIsRejected) {
   ExperimentJournal journal(path);
   const Status st = journal.Load();
   ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("CRC mismatch"), std::string::npos)
+  EXPECT_NE(st.message().find("section 'cell.0' CRC mismatch"),
+            std::string::npos)
       << st.ToString();
   std::remove(path.c_str());
 }
@@ -234,8 +235,8 @@ TEST(ExperimentJournalTest, TruncatedJournalIsRejected) {
     ASSERT_TRUE(journal.Record(cell).ok());
   }
   std::string text = ReadAll(path);
-  // Chop the `end` marker: a crash mid-write can never produce this (the
-  // write is atomic), so a journal without it was externally damaged.
+  // Chop the last section's CRC: a crash mid-write can never produce this
+  // (the write is atomic), so a short journal was externally damaged.
   ASSERT_GE(text.size(), 5u);
   text.resize(text.size() - 4);
   std::ofstream(path) << text;

@@ -39,6 +39,7 @@
 #include "data/dataset.h"
 #include "serve/online_predictor.h"
 #include "serve/resilient_predictor.h"
+#include "tests/record_test_util.h"
 
 namespace ealgap {
 namespace {
@@ -220,21 +221,12 @@ TEST(ChecksumTest, MatchesTheStandardCheckValue) {
   EXPECT_EQ(Crc32(""), 0u);
 }
 
-TEST(ChecksumTest, IncrementalEqualsOneShotAndHexRoundTrips) {
+TEST(ChecksumTest, IncrementalEqualsOneShotAndHexIsFixedWidth) {
   const uint32_t once = Crc32("hello world\n");
   uint32_t inc = Crc32("hello ");
   inc = Crc32(std::string_view("world\n"), inc);
   EXPECT_EQ(inc, once);
-
-  LineCrc lines;
-  lines.Update("hello world");  // Update() appends the '\n' itself
-  EXPECT_EQ(lines.value(), once);
-
-  uint32_t parsed = 0;
-  ASSERT_TRUE(ParseCrc32Hex(Crc32Hex(once), &parsed));
-  EXPECT_EQ(parsed, once);
-  EXPECT_FALSE(ParseCrc32Hex("xyz", &parsed));
-  EXPECT_FALSE(ParseCrc32Hex("123", &parsed));  // must be 8 hex digits
+  EXPECT_EQ(Crc32Hex(0x0009abcdu), "0009abcd");
 }
 
 // --- atomic file writes ------------------------------------------------------
@@ -426,22 +418,20 @@ TEST_F(FaultServeTest, ServeStateSurvivesInjectedCrashMidSave) {
   EXPECT_EQ(*streaming, *batch);
 }
 
-// Flips one mantissa digit (a digit right after a '.') searching backwards
-// from `limit` — the file still parses structurally, so only the checksum
-// can catch the corruption. Returns false if no such digit exists.
-bool FlipMantissaDigitBefore(std::string* text, size_t limit) {
-  for (size_t i = std::min(limit, text->size()); i-- > 1;) {
-    const char c = (*text)[i];
-    if ((*text)[i - 1] == '.' && c >= '0' && c <= '9') {
-      (*text)[i] = (c == '5') ? '6' : '5';
-      return true;
-    }
+// Flips one bit in the payload of the record section `name`: the framing
+// stays intact, so only that section's CRC can catch the corruption.
+// Returns false if the section is absent.
+bool FlipBitInSection(std::string* bytes, const std::string& name) {
+  const size_t payload = testing_record::PayloadOffset(*bytes, name);
+  if (payload == std::string::npos || payload + 2 >= bytes->size()) {
+    return false;
   }
-  return false;
+  (*bytes)[payload + 2] ^= 0x10;
+  return true;
 }
 
 void WriteAll(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
+  std::ofstream out(path, std::ios::binary);
   out << text;
 }
 
@@ -449,16 +439,15 @@ TEST_F(FaultServeTest, ChecksumCatchesBitFlipInCheckpointParams) {
   fault::ScopedFaults off("");
   const std::string good = ::testing::TempDir() + "/fi_crc_model.ckpt";
   ASSERT_TRUE(model_->SaveCheckpoint(good).ok());
-  std::string text = ReadAll(good);
-  const size_t crc_pos = text.find("\ncrc ");
-  ASSERT_NE(crc_pos, std::string::npos) << "checkpoint is missing a crc line";
-  ASSERT_TRUE(FlipMantissaDigitBefore(&text, crc_pos));
+  std::string bytes = ReadAll(good);
+  ASSERT_TRUE(FlipBitInSection(&bytes, "params"));
 
   const std::string bad = ::testing::TempDir() + "/fi_crc_model_bad.ckpt";
-  WriteAll(bad, text);
+  WriteAll(bad, bytes);
   auto r = core::LoadForecasterFromCheckpoint(bad);
   ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("CRC mismatch"), std::string::npos)
+  EXPECT_NE(r.status().message().find("section 'params' CRC mismatch"),
+            std::string::npos)
       << r.status().ToString();
 }
 
@@ -467,17 +456,15 @@ TEST_F(FaultServeTest, ChecksumCatchesBitFlipInServeStateBody) {
   const std::string good = ::testing::TempDir() + "/fi_crc_serve.state";
   auto predictor = NewPredictor();
   ASSERT_TRUE(predictor.SaveState(good).ok());
-  std::string text = ReadAll(good);
-  ASSERT_NE(text.find("\nbody "), std::string::npos);
-  const size_t end_pos = text.rfind("\nend");
-  ASSERT_NE(end_pos, std::string::npos);
-  ASSERT_TRUE(FlipMantissaDigitBefore(&text, end_pos));
+  std::string bytes = ReadAll(good);
+  ASSERT_TRUE(FlipBitInSection(&bytes, "ring"));
 
   const std::string bad = ::testing::TempDir() + "/fi_crc_serve_bad.state";
-  WriteAll(bad, text);
+  WriteAll(bad, bytes);
   auto r = OnlinePredictor::LoadState(bad, model_);
   ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("CRC mismatch"), std::string::npos)
+  EXPECT_NE(r.status().message().find("section 'ring' CRC mismatch"),
+            std::string::npos)
       << r.status().ToString();
 }
 

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <memory>
-#include <sstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -23,6 +23,7 @@
 #include "nn/loss.h"
 #include "serve/adaptive_predictor.h"
 #include "serve/online_predictor.h"
+#include "tests/record_test_util.h"
 
 namespace ealgap {
 namespace {
@@ -278,52 +279,12 @@ TEST(RobustnessTest, PredictOutOfRangeStepFails) {
 
 // --- corrupt state/checkpoint headers ----------------------------------------
 //
-// Loaders must reject zero/negative counts in headers with a hard error
-// NAMING the bad field — a corrupt geometry must never survive into ring
-// sizing, tensor allocation, or an OOB copy.
+// Loaders must reject zero/negative counts with a hard error NAMING the bad
+// field — a corrupt geometry must never survive into ring sizing, tensor
+// allocation, or an OOB copy. The bad values are written into correctly
+// framed record files, so the CRCs pass and the semantic check runs.
 
 namespace corrupt {
-
-std::string ReadAll(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-void WriteAll(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  out << text;
-}
-
-/// Replaces token `index` (0-based) of the first line starting with
-/// `line_tag` by `value`.
-void PatchLineToken(const std::string& path, const std::string& line_tag,
-                    size_t index, const std::string& value) {
-  std::istringstream in(ReadAll(path));
-  std::ostringstream out;
-  std::string line;
-  bool patched = false;
-  while (std::getline(in, line)) {
-    if (!patched && line.rfind(line_tag, 0) == 0) {
-      std::istringstream tokens(line);
-      std::vector<std::string> tok;
-      std::string t;
-      while (tokens >> t) tok.push_back(t);
-      ASSERT_GT(tok.size(), index);
-      tok[index] = value;
-      line.clear();
-      for (size_t i = 0; i < tok.size(); ++i) {
-        if (i > 0) line += ' ';
-        line += tok[i];
-      }
-      patched = true;
-    }
-    out << line << "\n";
-  }
-  ASSERT_TRUE(patched) << "no line tagged '" << line_tag << "' in " << path;
-  WriteAll(path, out.str());
-}
 
 /// A minimal fitted model + predictor over a synthetic city, for
 /// exercising the serve-state and checkpoint loaders.
@@ -362,8 +323,9 @@ TEST(RobustnessTest, ServeStateZeroRegionsRejectedByFieldName) {
   const std::string path = ::testing::TempDir() + "/zero_regions.state";
   ASSERT_TRUE(predictor->SaveState(path).ok());
 
-  // geometry <num_regions> <steps_per_day> <L> <M> <NH>
-  corrupt::PatchLineToken(path, "geometry ", 1, "0");
+  // geometry: num_regions, steps_per_day, L, M, NH (i64 each)
+  testing_record::PokeI64(path, testing_record::kServeState, "geometry", 0,
+                          0);
   auto loaded = serve::OnlinePredictor::LoadState(path, f.model.get());
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().ToString().find("num_regions"), std::string::npos)
@@ -378,7 +340,8 @@ TEST(RobustnessTest, ServeStateNegativeStepsPerDayRejectedByFieldName) {
   const std::string path = ::testing::TempDir() + "/neg_steps.state";
   ASSERT_TRUE(predictor->SaveState(path).ok());
 
-  corrupt::PatchLineToken(path, "geometry ", 2, "-24");
+  testing_record::PokeI64(path, testing_record::kServeState, "geometry", 8,
+                          -24);
   auto loaded = serve::OnlinePredictor::LoadState(path, f.model.get());
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().ToString().find("steps_per_day"),
@@ -391,39 +354,28 @@ TEST(RobustnessTest, CheckpointZeroDimensionRejectedByParameterName) {
   const std::string path = ::testing::TempDir() + "/zero_dim.ckpt";
   ASSERT_TRUE(f.model->SaveCheckpoint(path).ok());
 
-  // Find the first parameter line (after "params N"; format is
-  // "<name> <rank> <dims...> <values...>") and zero its first dimension.
-  {
-    std::istringstream in(corrupt::ReadAll(path));
-    std::ostringstream out;
-    std::string line;
-    bool in_params = false, patched = false;
-    std::string victim;
-    while (std::getline(in, line)) {
-      if (!patched && in_params && !line.empty()) {
-        std::istringstream tokens(line);
-        std::vector<std::string> tok;
-        std::string t;
-        while (tokens >> t && tok.size() < 4) tok.push_back(t);
-        ASSERT_GE(tok.size(), 3u);
-        victim = tok[0];
-        const size_t name_end = line.find(' ');
-        const size_t rank_end = line.find(' ', name_end + 1);
-        const size_t dim_end = line.find(' ', rank_end + 1);
-        line = line.substr(0, rank_end + 1) + "0" + line.substr(dim_end);
-        patched = true;
-      }
-      if (line.rfind("params ", 0) == 0) in_params = true;
-      out << line << "\n";
-    }
-    ASSERT_TRUE(patched);
-    corrupt::WriteAll(path, out.str());
-    auto loaded = core::LoadForecasterFromCheckpoint(path);
-    ASSERT_FALSE(loaded.ok());
-    const std::string msg = loaded.status().ToString();
-    EXPECT_NE(msg.find(victim), std::string::npos) << msg;
-    EXPECT_NE(msg.find("must be >= 1"), std::string::npos) << msg;
-  }
+  // Zero the first dimension of the first parameter record.
+  std::string victim;
+  testing_record::RewriteSection(
+      path, testing_record::kCheckpoint, "params",
+      [&](RecordSection& old, RecordWriter& writer) {
+        uint64_t count = 0;
+        std::vector<int64_t> dims;
+        int64_t numel = 0;
+        ASSERT_TRUE(old.ReadCount("tensors", 8, &count).ok());
+        ASSERT_TRUE(old.ReadString("name", &victim).ok());
+        ASSERT_TRUE(old.ReadShape(victim, &dims, &numel).ok());
+        dims[0] = 0;
+        writer.PutU64(count).PutString(victim).PutShape(dims.data(),
+                                                        dims.size());
+        const std::string_view payload = old.bytes();
+        writer.PutBytes(payload.substr(payload.size() - old.remaining()));
+      });
+  auto loaded = core::LoadForecasterFromCheckpoint(path);
+  ASSERT_FALSE(loaded.ok());
+  const std::string msg = loaded.status().ToString();
+  EXPECT_NE(msg.find(victim), std::string::npos) << msg;
+  EXPECT_NE(msg.find("must be >= 1"), std::string::npos) << msg;
 }
 
 TEST(RobustnessTest, AdaptStateNegativeRegionsRejectedByFieldName) {
@@ -433,10 +385,12 @@ TEST(RobustnessTest, AdaptStateNegativeRegionsRejectedByFieldName) {
   const std::string path = ::testing::TempDir() + "/neg_regions.adapt";
   ASSERT_TRUE((*adaptive)->SaveState(path).ok());
 
-  corrupt::PatchLineToken(path, "regions ", 1, "-1");
+  // detector: regions (i64), then the ewma and cusum arrays.
+  testing_record::PokeI64(path, testing_record::kAdaptState, "detector", 0,
+                          -1);
   Status loaded = (*adaptive)->LoadState(path);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.ToString().find("regions count"), std::string::npos)
+  EXPECT_NE(loaded.ToString().find("field 'regions'"), std::string::npos)
       << loaded.ToString();
 }
 
@@ -447,12 +401,22 @@ TEST(RobustnessTest, AdaptStateBitFlipFailsChecksum) {
   const std::string path = ::testing::TempDir() + "/bitflip.adapt";
   ASSERT_TRUE((*adaptive)->SaveState(path).ok());
 
-  // Flip the guard line's frozen bit: still parses, but the body bytes no
-  // longer match the CRC — the loader must reject, never half-load.
-  corrupt::PatchLineToken(path, "guard ", 1, "1");
+  // Flip the guard section's frozen flag in place: still a valid value,
+  // but the bytes no longer match the section CRC — the loader must
+  // reject, never half-load.
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const size_t guard = testing_record::PayloadOffset(bytes, "guard");
+  ASSERT_NE(guard, std::string::npos);
+  bytes[guard] ^= 1;  // the u32 frozen flag's low byte
+  std::ofstream(path, std::ios::binary) << bytes;
   Status loaded = (*adaptive)->LoadState(path);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.ToString().find("checksum mismatch"), std::string::npos)
+  EXPECT_NE(loaded.ToString().find("section 'guard' CRC mismatch"),
+            std::string::npos)
       << loaded.ToString();
   // The failed load left the in-memory posture untouched.
   EXPECT_FALSE((*adaptive)->frozen());

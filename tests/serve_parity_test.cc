@@ -21,6 +21,7 @@
 #include "core/rollout.h"
 #include "data/dataset.h"
 #include "serve/online_predictor.h"
+#include "tests/record_test_util.h"
 
 namespace ealgap {
 namespace {
@@ -296,7 +297,7 @@ std::string ReadAll(const std::string& path) {
 }
 
 void WriteAll(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
+  std::ofstream out(path, std::ios::binary);
   out << text;
 }
 
@@ -321,24 +322,44 @@ TEST_F(ServeParityTest, CorruptCheckpointsReturnErrorsNotCrashes) {
     EXPECT_FALSE(r.ok()) << "truncation at " << frac << " went undetected";
   }
 
-  // Config/parameter shape mismatch: shrink the hidden width the header
-  // advertises; the stored tensors no longer fit the rebuilt network.
-  std::string mismatched = text;
-  const std::string from = "config hidden 32";
-  const size_t pos = mismatched.find(from);
-  ASSERT_NE(pos, std::string::npos);
-  mismatched.replace(pos, from.size(), "config hidden 8\n");
-  WriteAll(bad, mismatched);
-  EXPECT_FALSE(core::LoadForecasterFromCheckpoint(bad).ok());
+  // Config/parameter shape mismatch: shrink the hidden width the config
+  // echo advertises; the stored tensors no longer fit the rebuilt network.
+  WriteAll(bad, text);
+  testing_record::RewriteSection(
+      bad, testing_record::kCheckpoint, "config",
+      [](RecordSection& old, RecordWriter& writer) {
+        uint64_t entries = 0;
+        ASSERT_TRUE(old.ReadCount("entries", 8, &entries).ok());
+        writer.PutU64(entries);
+        for (uint64_t i = 0; i < entries; ++i) {
+          std::string key, value;
+          ASSERT_TRUE(old.ReadString("key", &key).ok());
+          ASSERT_TRUE(old.ReadString(key, &value).ok());
+          if (key == "hidden") {
+            ASSERT_EQ(value, "32");
+            value = "8";
+          }
+          writer.PutString(key).PutString(value);
+        }
+      });
+  auto mismatched = core::LoadForecasterFromCheckpoint(bad);
+  ASSERT_FALSE(mismatched.ok());
+  EXPECT_NE(mismatched.status().message().find("shape mismatch"),
+            std::string::npos)
+      << mismatched.status().ToString();
 
   // Wrong model name vs the loading forecaster.
-  std::string renamed = text;
-  const size_t mp = renamed.find("model EALGAP");
-  ASSERT_NE(mp, std::string::npos);
-  renamed.replace(mp, std::string("model EALGAP").size(), "model ST-Norm");
-  WriteAll(bad, renamed);
+  WriteAll(bad, text);
+  testing_record::RewriteSection(
+      bad, testing_record::kCheckpoint, "model",
+      [](RecordSection&, RecordWriter& writer) {
+        writer.PutString("ST-Norm");
+      });
   core::EalgapForecaster fresh;
-  EXPECT_FALSE(fresh.LoadCheckpoint(bad).ok());
+  const Status renamed = fresh.LoadCheckpoint(bad);
+  ASSERT_FALSE(renamed.ok());
+  EXPECT_NE(renamed.message().find("holds model ST-Norm"), std::string::npos)
+      << renamed.ToString();
 
   // The intact file still loads.
   EXPECT_TRUE(core::LoadForecasterFromCheckpoint(good).ok());
@@ -367,14 +388,56 @@ TEST_F(ServeParityTest, CorruptServeStateReturnsErrorsNotCrashes) {
   }
 
   // Wrong model name.
-  std::string renamed = text;
-  const size_t mp = renamed.find("model EALGAP");
-  ASSERT_NE(mp, std::string::npos);
-  renamed.replace(mp, std::string("model EALGAP").size(), "model GRU");
-  WriteAll(bad, renamed);
-  EXPECT_FALSE(OnlinePredictor::LoadState(bad, model_).ok());
+  WriteAll(bad, text);
+  testing_record::RewriteSection(
+      bad, testing_record::kServeState, "model",
+      [](RecordSection&, RecordWriter& writer) { writer.PutString("GRU"); });
+  auto renamed = OnlinePredictor::LoadState(bad, model_);
+  ASSERT_FALSE(renamed.ok());
+  EXPECT_NE(renamed.status().message().find("captured for model GRU"),
+            std::string::npos)
+      << renamed.status().ToString();
 
   EXPECT_TRUE(OnlinePredictor::LoadState(good, model_).ok());
+}
+
+// One changed byte in a field whose new value a loader would accept — the
+// config echo's scale, the serve state's next_step — must be rejected
+// naming the section, never served as a silently different model or
+// stream position.
+TEST_F(ServeParityTest, OneByteChangeInAValidFieldIsRejectedNamingTheSection) {
+  const std::string ckpt = ::testing::TempDir() + "/onebyte_model.ckpt";
+  ASSERT_TRUE(model_->SaveCheckpoint(ckpt).ok());
+  std::string bytes = ReadAll(ckpt);
+  const size_t scale = bytes.find("scale");
+  ASSERT_NE(scale, std::string::npos);
+  // The value follows the key as a u32 length and its decimal digits.
+  char& digit = bytes[scale + 5 + sizeof(uint32_t)];
+  ASSERT_TRUE(digit >= '0' && digit <= '9') << bytes.substr(scale, 20);
+  digit = digit == '9' ? '8' : static_cast<char>(digit + 1);
+  WriteAll(ckpt, bytes);
+  auto loaded = core::LoadForecasterFromCheckpoint(ckpt);
+  ASSERT_FALSE(loaded.ok()) << "a changed config scale was accepted";
+  EXPECT_NE(loaded.status().message().find("section 'config' CRC mismatch"),
+            std::string::npos)
+      << loaded.status().ToString();
+
+  const std::string state = ::testing::TempDir() + "/onebyte_serve.state";
+  auto predictor =
+      OnlinePredictor::Create(model_, *dataset_, split_->test_begin);
+  ASSERT_TRUE(predictor.ok());
+  ASSERT_TRUE(predictor->SaveState(state).ok());
+  bytes = ReadAll(state);
+  // stream = year, month, day, next_step (i64 each).
+  const size_t stream = testing_record::PayloadOffset(bytes, "stream");
+  ASSERT_NE(stream, std::string::npos);
+  bytes[stream + 3 * sizeof(int64_t)] ^= 0x01;
+  WriteAll(state, bytes);
+  auto restored = OnlinePredictor::LoadState(state, model_);
+  ASSERT_FALSE(restored.ok()) << "a changed next_step was accepted";
+  EXPECT_NE(restored.status().message().find("section 'stream' CRC mismatch"),
+            std::string::npos)
+      << restored.status().ToString();
 }
 
 TEST_F(ServeParityTest, CreateRejectsBadArgumentsAndModels) {

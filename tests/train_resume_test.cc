@@ -22,6 +22,7 @@
 #include "core/ealgap.h"
 #include "data/dataset.h"
 #include "tensor/kernels.h"
+#include "tests/record_test_util.h"
 
 namespace ealgap {
 namespace {
@@ -311,7 +312,8 @@ TEST_F(TrainResumeTest, ExhaustedRollbackBudgetFailsWithAttribution) {
 }
 
 /// Resuming a run whose train state is corrupt must fail loudly (never a
-/// silent restart), and the error names the corrupted block.
+/// silent restart), and the error names the corrupted section. One changed
+/// byte in the loop fields (epoch, lr) is caught like one in the weights.
 TEST_F(TrainResumeTest, CorruptTrainStateIsRejectedOnResume) {
   const int saved_threads = GetNumThreads();
   SetNumThreads(1);
@@ -324,22 +326,34 @@ TEST_F(TrainResumeTest, CorruptTrainStateIsRejectedOnResume) {
   ckpt_train.checkpoint_path = state;
   ckpt_train.checkpoint_every = 1;
   ASSERT_TRUE(RunFit(ckpt_train, "corrupt_seed").status.ok());
+  const std::string pristine = ReadAll(state);
 
-  // Flip one digit inside the params block (still parses as a number).
-  std::string text = ReadAll(state);
-  const size_t pos = text.find(".5");
-  ASSERT_NE(pos, std::string::npos);
-  text[pos + 1] = '6';
-  std::ofstream(state) << text;
+  struct Corruption {
+    const char* section;
+    size_t offset;  ///< byte within the section payload
+    const char* what;
+  };
+  // loop = epoch (i64), lr (f32), ...
+  for (const Corruption& c : {Corruption{"loop", 0, "epoch"},
+                              Corruption{"loop", 8, "lr"},
+                              Corruption{"params", 64, "a weight"}}) {
+    std::string bytes = pristine;
+    const size_t payload = testing_record::PayloadOffset(bytes, c.section);
+    ASSERT_NE(payload, std::string::npos) << c.section;
+    bytes[payload + c.offset] ^= 0x01;
+    std::ofstream(state, std::ios::binary) << bytes;
 
-  TrainConfig resume_train = ckpt_train;
-  resume_train.epochs = 2;
-  resume_train.resume = true;
-  const FitOutcome resumed = RunFit(resume_train, "corrupt_resume");
+    TrainConfig resume_train = ckpt_train;
+    resume_train.epochs = 2;
+    resume_train.resume = true;
+    const FitOutcome resumed = RunFit(resume_train, "corrupt_resume");
+    ASSERT_FALSE(resumed.status.ok()) << "changed " << c.what << " accepted";
+    EXPECT_NE(resumed.status.message().find(std::string("section '") +
+                                            c.section + "' CRC mismatch"),
+              std::string::npos)
+        << c.what << ": " << resumed.status.ToString();
+  }
   SetNumThreads(saved_threads);
-  ASSERT_FALSE(resumed.status.ok());
-  EXPECT_NE(resumed.status.message().find("CRC mismatch"), std::string::npos)
-      << resumed.status.ToString();
   std::remove(state.c_str());
 }
 

@@ -9,7 +9,7 @@
 //       Prints feed statistics: record counts, date range, cleaning report.
 //
 //   evaluate  --trips T.csv --stations S.csv --start YYYY-MM-DD --days N
-//             [--regions K] [--scheme EALGAP] [--epochs N] [--save ckpt.txt]
+//             [--regions K] [--scheme EALGAP] [--epochs N] [--save model.ckpt]
 //             [--train-state path --checkpoint-every K [--resume]]
 //       Runs the full pipeline on a trip feed, trains the scheme, and
 //       reports the test metrics. --save checkpoints the fitted model.
@@ -18,7 +18,7 @@
 //       continues from it bit-identically to an uninterrupted one.
 //
 //   experiment [--cities A,B] [--periods normal,weather] [--schemes X,Y]
-//              [--epochs N] [--scale F] [--seed N] [--journal J.txt]
+//              [--epochs N] [--scale F] [--seed N] [--journal sweep.journal]
 //              [--resume] [--state-dir DIR] [--checkpoint-every K]
 //       Sweeps cities x periods x schemes, training and evaluating every
 //       cell. Each finished cell is recorded atomically in --journal, so
@@ -29,7 +29,7 @@
 //       epochs, letting --resume continue even mid-cell.
 //
 //   serve     --trips T.csv --stations S.csv --start YYYY-MM-DD --days N
-//             --checkpoint ckpt.txt [--regions K] [--seed N]
+//             --checkpoint model.ckpt [--regions K] [--seed N]
 //             [--repair reject|hold-last|impute] [--deadline-ms D]
 //             [--recovery K] [--adapt [--adapt-* knobs]]
 //       Loads a checkpointed model, seeds an OnlinePredictor at the start
