@@ -138,20 +138,22 @@ echo "===== alloc-free stage: zero-allocation serve contract ====="
 EALGAP_FAULTS="nn.predict.nan:every=7" "./$BUILD_DIR/tests/alloc_guard_test"
 
 echo "===== TSan: concurrent serving + training paths ====="
-# PredictMany fans samples across the pool and EvaluateLoss fans batches;
-# run both under ThreadSanitizer with more threads than the tiny models
-# need, to force interleavings. The fault suite rides along: fault
-# decisions are mutex-serialized and must stay race-free under load.
+# PredictMany fans samples across the pool, EvaluateLoss fans batches and
+# the fused no-grad EALGAP forward fans region blocks (ealgap_infer_test
+# drives it at 2 and 8 threads); run them under ThreadSanitizer with more
+# threads than the tiny models need, to force interleavings. The fault
+# suite rides along: fault decisions are mutex-serialized and must stay
+# race-free under load.
 cmake -B "$TSAN_BUILD_DIR" -S . -G Ninja -DEALGAP_SANITIZE=thread
 # daemon_test is the TSan leg of the daemon soak: the multi-producer
 # queue stress and the cross-shard ParallelFor serve fan-out both run
 # with sanitized interleavings here.
 cmake --build "$TSAN_BUILD_DIR" -j --target \
   serve_parity_test determinism_test thread_pool_test ops_parallel_test \
-  fault_injection_test train_resume_test daemon_test
+  fault_injection_test train_resume_test daemon_test ealgap_infer_test
 for t in serve_parity_test determinism_test thread_pool_test \
          ops_parallel_test fault_injection_test train_resume_test \
-         daemon_test; do
+         daemon_test ealgap_infer_test; do
   echo "----- TSan: $t -----"
   EALGAP_NUM_THREADS=4 "./$TSAN_BUILD_DIR/tests/$t"
 done
@@ -166,13 +168,16 @@ echo "===== ASan: checkpoint/resume + fault-injection + arena paths ====="
 # compiles out (ASan owns malloc) and the counting assertions self-skip,
 # which turns the 240-step replays into a lifetime check of the exact
 # arena checkpoint/rewind scenario — a use-after-rewind trips ASan here.
+# ealgap_infer_test drives the fused forward's raw-pointer block sweep
+# over odd region counts and every option family, so an out-of-range
+# scratch or lanes index trips ASan too.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -G Ninja -DEALGAP_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target \
   train_resume_test fault_injection_test experiment_test alloc_guard_test \
-  record_io_test
+  record_io_test ealgap_infer_test
 for t in train_resume_test fault_injection_test experiment_test \
-         alloc_guard_test record_io_test; do
+         alloc_guard_test record_io_test ealgap_infer_test; do
   echo "----- ASan: $t -----"
   "./$ASAN_BUILD_DIR/tests/$t"
 done
@@ -184,12 +189,15 @@ echo "===== UBSan: adaptation + serving arithmetic paths ====="
 # any signed overflow, bad shift, or misaligned access in those paths into
 # a test failure. daemon_test drives the full adapt/freeze/restart
 # machinery; robustness_test and record_io_test drive the corrupt-input
-# loaders whose error paths do offset arithmetic on attacker-shaped files.
+# loaders whose error paths do offset arithmetic on attacker-shaped files;
+# ealgap_infer_test drives the fused forward's block and lanes arithmetic.
 UBSAN_BUILD_DIR="${UBSAN_BUILD_DIR:-build-ubsan}"
 cmake -B "$UBSAN_BUILD_DIR" -S . -G Ninja -DEALGAP_SANITIZE=undefined
 cmake --build "$UBSAN_BUILD_DIR" -j --target \
-  daemon_test robustness_test fault_injection_test record_io_test
-for t in daemon_test robustness_test fault_injection_test record_io_test; do
+  daemon_test robustness_test fault_injection_test record_io_test \
+  ealgap_infer_test
+for t in daemon_test robustness_test fault_injection_test record_io_test \
+         ealgap_infer_test; do
   echo "----- UBSan: $t -----"
   "./$UBSAN_BUILD_DIR/tests/$t"
 done
@@ -203,7 +211,8 @@ if [[ "${EALGAP_CI_BENCH:-0}" == "1" ]]; then
   for pair in "micro_tensor_ops:BENCH_tensor_ops.json" \
               "micro_serve:BENCH_serve.json" \
               "micro_daemon:BENCH_daemon.json" \
-              "micro_adapt:BENCH_adapt.json"; do
+              "micro_adapt:BENCH_adapt.json" \
+              "micro_layers:BENCH_layers.json"; do
     target="${pair%%:*}"
     baseline="${pair##*:}"
     if [[ ! -f "$baseline" ]]; then

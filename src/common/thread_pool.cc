@@ -107,6 +107,19 @@ class Pool {
   Pool() : num_threads_(InitialThreads()) { StartWorkers(); }
 
   void StartWorkers() {
+    {
+      // A live job is either the one in flight or a finished one that a
+      // worker has not released yet — at most one per executor — so
+      // num_threads jobs made here keep every later dispatch off the heap,
+      // however late workers wake.
+      std::lock_guard<std::mutex> lock(mu_);
+      while (jobs_made_ < num_threads()) {
+        Job* job = new Job();
+        ++jobs_made_;
+        job->free_next = free_jobs_;
+        free_jobs_ = job;
+      }
+    }
     // The dispatching caller counts as one executor.
     for (int i = 0; i < num_threads() - 1; ++i) {
       workers_.emplace_back([this] { WorkerLoop(); });
@@ -132,8 +145,8 @@ class Pool {
       job->free_next = nullptr;
       return job;
     }
-    // Cold path: at most a handful of jobs ever exist (one in flight plus
-    // stragglers still referenced by late-waking workers).
+    // Unreachable while StartWorkers' bound holds; kept as a safe default.
+    ++jobs_made_;
     return new Job();
   }
 
@@ -189,6 +202,7 @@ class Pool {
   std::condition_variable done_cv_;
   Job* job_ = nullptr;
   Job* free_jobs_ = nullptr;
+  int jobs_made_ = 0;  // guarded by mu_
   uint64_t seq_ = 0;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;

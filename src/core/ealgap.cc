@@ -6,16 +6,38 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "core/extreme_degree.h"
 #include "core/global_impact.h"
 #include "nn/linear.h"
+#include "stats/distribution.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace ealgap {
 namespace core {
 
+namespace {
+
+/// Regions per block of the no-grad pass: all of a default-model block's
+/// buffers take about 35 KB, well inside L2.
+constexpr int64_t kBlockRegions = 64;
+
+/// Copies rows [r0, r0 + lanes) of a row-major (N, cols) matrix into the
+/// lanes layout (cols, lanes).
+void ToLanes(const float* src, int64_t cols, int64_t r0, int64_t lanes,
+             float* dst) {
+  for (int64_t r = 0; r < lanes; ++r) {
+    const float* row = src + (r0 + r) * cols;
+    for (int64_t c = 0; c < cols; ++c) dst[c * lanes + r] = row[c];
+  }
+}
+
+}  // namespace
+
 struct EalgapForecaster::Net : nn::Module {
-  Net(const EalgapOptions& opts, int64_t n, int64_t l, Rng& rng) {
+  Net(const EalgapOptions& opts, int64_t n, int64_t l, Rng& rng)
+      : n(n), l(l) {
     if (opts.use_global_attention) {
       global = std::make_unique<GlobalImpactModule>(
           n, l, opts.hidden, rng, opts.family, opts.attention_dim);
@@ -35,12 +57,9 @@ struct EalgapForecaster::Net : nn::Module {
     }
   }
 
-  // All inputs in model space. Returns the (N) prediction; when `d_steps`
-  // is non-null (training with degree supervision) it receives Eq. (10)'s
-  // per-window degree predictions. The serve path passes nullptr, so the
-  // per-step forward builds no vectors at all: the extreme module fills a
-  // thread-local scratch Output that is cleared before returning (its Vars
-  // are arena-backed under a serve ArenaScope and must not outlive it).
+  // The training forward, recorded for backprop. All inputs in model
+  // space. Returns the (N) prediction; when `d_steps` is non-null (degree
+  // supervision) it receives Eq. (10)'s per-window degree predictions.
   Var Forward(const Var& x, const Var& f, const Var& f_mu, const Var& f_sigma,
               std::vector<Var>* d_steps) const {
     const int64_t n = x.value().dim(0);
@@ -48,34 +67,167 @@ struct EalgapForecaster::Net : nn::Module {
     if (global) {
       xg_next = global->Forward(x).xg_next;
     } else {
-      xg_next = Reshape(mlp2->Forward(ReluInPlace(mlp1->Forward(x))), {n});
+      xg_next = Reshape(mlp2->Forward(Relu(mlp1->Forward(x))), {n});
     }
     if (!extreme) {
       // ablation (ii): global impacts only
-      return ReluInPlace(std::move(xg_next));
+      return Relu(xg_next);
     }
-    static thread_local ExtremeDegreeModule::Output ed;
-    extreme->ForwardInto(f, f_mu, f_sigma, &ed);
-    // Eq. (11): X̂ = ReLU(X̂g + X̂g ⊙ D̂). In serving (no grad) the ReLU
-    // overwrites the sum's buffer instead of allocating a per-step temporary.
-    Var result = ReluInPlace(Add(xg_next, Mul(xg_next, ed.d_next)));
-    if (d_steps != nullptr) *d_steps = ed.d_steps;
-    ed.d_next = Var();
-    ed.e.clear();
-    ed.d_steps.clear();
-    return result;
+    ExtremeDegreeModule::Output ed = extreme->Forward(f, f_mu, f_sigma);
+    if (d_steps != nullptr) *d_steps = std::move(ed.d_steps);
+    // Eq. (11): X̂ = ReLU(X̂g + X̂g ⊙ D̂).
+    return Relu(Add(xg_next, Mul(xg_next, ed.d_next)));
   }
 
+  /// The no-grad forward (DESIGN.md §8i): Forward() for every sample of
+  /// `batch`, bit-identical, returned as (B, N). The A-1 decoder runs once
+  /// per sample; everything else runs per block of regions, blocks fanned
+  /// out across the pool.
+  Tensor Infer(const std::vector<data::WindowSample>& batch, float inv) const {
+    // Forward() checks shapes inside the modules; the block sweep indexes
+    // raw buffers, so every sample is checked up front.
+    EALGAP_CHECK(!batch.empty());
+    const Shape xshape{n, l};
+    const int64_t m = extreme ? batch.front().f.dim(0) : 0;
+    const Shape fshape{m, n, l};
+    for (const data::WindowSample& s : batch) {
+      EALGAP_CHECK(s.x.shape() == xshape) << ShapeToString(s.x.shape());
+      if (extreme) {
+        EALGAP_CHECK_GE(m, 1);
+        EALGAP_CHECK(s.f.shape() == fshape && s.f_mu.shape() == fshape &&
+                     s.f_sigma.shape() == fshape)
+            << ShapeToString(s.f.shape());
+      }
+    }
+    const int64_t nblocks = (n + kBlockRegions - 1) / kBlockRegions;
+    const int64_t chunks =
+        InParallelRegion()
+            ? 1
+            : std::min<int64_t>(nblocks, std::max(1, GetNumThreads()));
+    const int64_t per_chunk = Layout(m, std::min(kBlockRegions, n)).total;
+    // Scratch lands on the ambient arena when serving installed one; each
+    // chunk owns one slice, so concurrent blocks never share a buffer.
+    Tensor scratch({chunks, per_chunk});
+    Tensor out({static_cast<int64_t>(batch.size()), n});
+    for (size_t b = 0; b < batch.size(); ++b) {
+      const data::WindowSample& s = batch[b];
+      const Tensor x = ops::MulScalar(s.x, inv);
+      Tensor w;
+      if (global) {
+        w = global->InferAttentionParams(stats::RowwisePdf(x, global->family()));
+      }
+      float* dst = out.data() + static_cast<int64_t>(b) * n;
+      ParallelFor(0, chunks, 1, [&](int64_t c0, int64_t c1) {
+        for (int64_t c = c0; c < c1; ++c) {
+          float* scr = scratch.data() + c * per_chunk;
+          for (int64_t blk = c * nblocks / chunks;
+               blk < (c + 1) * nblocks / chunks; ++blk) {
+            const int64_t r0 = blk * kBlockRegions;
+            const int64_t lanes = std::min(kBlockRegions, n - r0);
+            InferBlock(s, x, w, inv, r0, lanes, dst + r0, scr);
+          }
+        }
+      });
+    }
+    return out;
+  }
+
+  /// Where InferBlock's buffers sit in a block's scratch, in floats. Each
+  /// starts 64-byte aligned, so the lanes rows of a full block keep the
+  /// kernels' aligned path; `stage` is shared by the module stages, which
+  /// run one after another.
+  struct BlockLayout {
+    int64_t x = 0, xg = 0, hist = 0, hidden = 0;
+    int64_t f = 0, mu = 0, sigma = 0, d = 0, stage = 0, total = 0;
+  };
+  BlockLayout Layout(int64_t m, int64_t lanes) const {
+    BlockLayout o;
+    auto take = [&o](int64_t floats) {
+      const int64_t at = o.total;
+      o.total += (floats + 15) / 16 * 16;
+      return at;
+    };
+    int64_t stage = 0;
+    o.x = take(l * lanes);
+    o.xg = take(lanes);
+    if (global) {
+      o.hist = take(l * lanes);
+      stage = std::max(global->AttentionLanesScratch(lanes),
+                       global->PredictLanesScratch(lanes));
+    } else {
+      o.hidden = take(mlp1->out_features() * lanes);
+    }
+    if (extreme) {
+      o.f = take(m * l * lanes);
+      o.mu = take(m * l * lanes);
+      o.sigma = take(m * l * lanes);
+      o.d = take(lanes);
+      stage = std::max({stage,
+                        ExtremeDegreeModule::DegreeLanesScratch(m * l, lanes),
+                        extreme->PredictDegreeLanesScratch(lanes)});
+    }
+    o.stage = take(stage);
+    return o;
+  }
+
+  /// One block: regions [r0, r0 + lanes) of sample `s`, whose scaled
+  /// history is `x` and decoded attention parameters `w` (global path).
+  /// Writes the block's Eq. (11) predictions to `dst`.
+  void InferBlock(const data::WindowSample& s, const Tensor& x,
+                  const Tensor& w, float inv, int64_t r0, int64_t lanes,
+                  float* dst, float* scratch) const {
+    const kernels::KernelTable& t = kernels::Active();
+    const int64_t m = extreme ? s.f.dim(0) : 0;
+    const BlockLayout o = Layout(m, lanes);
+    float* xl = scratch + o.x;
+    float* xg = scratch + o.xg;
+    float* stage = scratch + o.stage;
+    ToLanes(x.data(), l, r0, lanes, xl);
+    if (global) {
+      float* hist = scratch + o.hist;
+      global->AttentionLanes(xl, w.data() + r0 * w.dim(1), lanes, hist, stage);
+      global->PredictLanes(hist, lanes, xg, stage);
+    } else {
+      // Ablation (iii): two Dense layers with ReLU.
+      float* hidden = scratch + o.hidden;
+      mlp1->ForwardLanes(xl, lanes, hidden);
+      t.relu_ip(hidden, mlp1->out_features() * lanes);
+      mlp2->ForwardLanes(hidden, lanes, xg);
+    }
+    if (extreme) {
+      const int64_t rows = m * l;
+      float* f = scratch + o.f;
+      float* mu = scratch + o.mu;
+      float* sigma = scratch + o.sigma;
+      float* d = scratch + o.d;
+      // Window w's rows of the (M, N, L) inputs, scaled like Forward's.
+      for (int64_t win = 0; win < m; ++win) {
+        const int64_t off = win * n * l;
+        ToLanes(s.f.data() + off, l, r0, lanes, f + win * l * lanes);
+        ToLanes(s.f_mu.data() + off, l, r0, lanes, mu + win * l * lanes);
+        ToLanes(s.f_sigma.data() + off, l, r0, lanes, sigma + win * l * lanes);
+      }
+      t.mul_vs(f, inv, f, rows * lanes);
+      t.mul_vs(mu, inv, mu, rows * lanes);
+      t.mul_vs(sigma, inv, sigma, rows * lanes);
+      extreme->DegreeLanes(f, mu, sigma, rows, r0, lanes, f, stage);
+      extreme->PredictDegreeLanes(f, m, lanes, d, stage);
+      // Eq. (11): X̂ = ReLU(X̂g + X̂g ⊙ D̂).
+      t.mul_vv(xg, d, d, lanes);
+      t.add_vv(xg, d, xg, lanes);
+    }
+    t.relu(xg, dst, lanes);
+  }
+
+  int64_t n;  ///< regions
+  int64_t l;  ///< history length
   std::unique_ptr<GlobalImpactModule> global;
   std::unique_ptr<nn::Linear> mlp1, mlp2;
   std::unique_ptr<ExtremeDegreeModule> extreme;
 };
 
 EalgapForecaster::EalgapForecaster(EalgapOptions options)
-    : options_(options) {
-  EALGAP_CHECK(options.use_global_attention || options.use_extreme ||
-               true);  // model always has a global-impact path
-}
+    : options_(options) {}
 
 EalgapForecaster::~EalgapForecaster() = default;
 
@@ -102,18 +254,13 @@ void EalgapForecaster::Initialize(const data::SlidingWindowDataset& dataset,
 Var EalgapForecaster::ForwardBatch(
     const std::vector<data::WindowSample>& batch) {
   const float inv = 1.f / scale_;
-  // Thread-local scratch (ForwardBatch runs concurrently from EvaluateLoss
-  // pool threads): capacity is reused across calls and every vector is
-  // cleared before returning, so no Var survives a serve-path arena rewind
-  // and the steady-state serve step performs zero heap allocations.
-  static thread_local std::vector<Var> outs;
-  static thread_local std::vector<Var> degree_losses;
-  static thread_local std::vector<Var> d_steps;
-  outs.clear();
-  degree_losses.clear();
-  outs.reserve(batch.size());
-  const bool want_degree =
-      net_->extreme && options_.degree_loss_weight > 0.f && GradEnabled();
+  // Every no-grad forward — serving, Predict, evaluation losses, shadow
+  // scoring — takes the fused pass; only training records the graph.
+  if (!GradEnabled()) return Var::Leaf(net_->Infer(batch, inv));
+  std::vector<Var> outs;
+  std::vector<Var> degree_losses;
+  std::vector<Var> d_steps;
+  const bool want_degree = net_->extreme && options_.degree_loss_weight > 0.f;
   for (const data::WindowSample& sample : batch) {
     Var x = Var::Leaf(ops::MulScalar(sample.x, inv));
     Var f = Var::Leaf(ops::MulScalar(sample.f, inv));
@@ -144,10 +291,9 @@ Var EalgapForecaster::ForwardBatch(
       }
     }
   }
-  // pending_degree_loss_ is only touched while gradients are recorded: the
-  // no-grad evaluation/serving paths (EvaluateLoss, PredictSample) call
-  // ForwardBatch concurrently from the thread pool, and an unconditional
-  // reset here would be a data race.
+  // pending_degree_loss_ is only touched on this gradient path: the no-grad
+  // paths above run concurrently from pool threads (EvaluateLoss).
+  pending_degree_loss_ = Var();
   if (!degree_losses.empty()) {
     Var total = degree_losses[0];
     for (size_t i = 1; i < degree_losses.size(); ++i) {
@@ -155,14 +301,8 @@ Var EalgapForecaster::ForwardBatch(
     }
     pending_degree_loss_ =
         MulScalar(total, 1.f / static_cast<float>(degree_losses.size()));
-  } else if (GradEnabled()) {
-    pending_degree_loss_ = Var();
   }
-  Var result = Concat(outs, 0);  // (B, N)
-  outs.clear();
-  degree_losses.clear();
-  d_steps.clear();
-  return result;
+  return Concat(outs, 0);  // (B, N)
 }
 
 Var EalgapForecaster::ComputeLoss(const Var& predictions,

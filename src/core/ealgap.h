@@ -13,7 +13,9 @@ namespace core {
 /// Configuration of the EALGAP model, including the ablation switches of
 /// the paper's Fig. 11.
 struct EalgapOptions {
-  /// (ii)/(iii): which modules participate. At least one must be true.
+  /// (ii)/(iii): which modules participate. Every combination is valid:
+  /// without global attention a plain MLP still predicts the global
+  /// impacts, so the model always has a global-impact path.
   bool use_global_attention = true;  ///< false = ablation (iii): plain MLP
   bool use_extreme = true;           ///< false = ablation (ii): global only
   /// (iv): distribution family fitted in the Global Impact Module.

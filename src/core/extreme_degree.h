@@ -43,18 +43,42 @@ class ExtremeDegreeModule : public nn::Module {
   Output Forward(const Var& f, const Var& f_mu, const Var& f_sigma) const;
 
   /// Forward() into a caller-owned Output whose vectors are cleared and
-  /// refilled (capacity reused) — the serve path passes one scratch Output
-  /// per thread so the per-step forward performs no vector allocations.
-  /// Callers that run under an ArenaScope must clear the Output again
-  /// before the scope rewinds (the Vars inside are arena-backed).
+  /// refilled (capacity reused). Callers that run under an ArenaScope must
+  /// clear the Output again before the scope rewinds (the Vars inside are
+  /// arena-backed).
   void ForwardInto(const Var& f, const Var& f_mu, const Var& f_sigma,
                    Output* out) const;
 
   /// Eq. (9) + tanh for one window (exposed for tests).
   Var ExtremeDegree(const Var& x, const Var& mu, const Var& sigma) const;
 
+  // --- No-grad inference (DESIGN.md §8i) -------------------------------
+  // ExtremeDegree() and ForwardInto() as kernel calls on one block of
+  // regions [r0, r0 + lanes) in lanes layout (nn::Linear::ForwardLanes),
+  // bit-identical to them and reading the live parameters.
+
+  /// Eq. (9) + tanh: f, mu, sigma are (rows, lanes) model-space blocks —
+  /// any number of rows, e.g. all M windows' L steps at once. e may alias
+  /// f.
+  void DegreeLanes(const float* f, const float* mu, const float* sigma,
+                   int64_t rows, int64_t r0, int64_t lanes, float* e,
+                   float* scratch) const;
+  static int64_t DegreeLanesScratch(int64_t rows, int64_t lanes) {
+    return (rows + 1) * lanes;
+  }
+
+  /// Eq. (10) for inference: the GRU over the M windows of e (M*L, lanes)
+  /// from a zero state, then tanh(head(h)) — D̂[:, t+1] — into d_next
+  /// (lanes). The per-window heads only feed training, so they are skipped.
+  void PredictDegreeLanes(const float* e, int64_t m, int64_t lanes,
+                          float* d_next, float* scratch) const;
+  int64_t PredictDegreeLanesScratch(int64_t lanes) const {
+    return gru_.hidden_size() * lanes + gru_.StepLanesScratch(lanes);
+  }
+
  private:
   int64_t n_;
+  int64_t l_;
   Var gamma_;    // (N, 1)
   Var epsilon_;  // (N, 1), used as |eps| + floor inside the sqrt
   nn::GruCell gru_;

@@ -48,6 +48,33 @@ class GlobalImpactModule : public nn::Module {
   /// the paper's data-driven parameter generation.
   Output Forward(const Var& x) const;
 
+  // --- No-grad inference (DESIGN.md §8i) -------------------------------
+  // The stages of Forward() as plain kernel calls over the live
+  // parameters, bit-identical to it. Per-region stages run on one block of
+  // regions in lanes layout (nn::Linear::ForwardLanes): a (rows, lanes)
+  // buffer holds one column per region of the block.
+
+  /// A-1 decoder, once per sample: the densities z = RowwisePdf(x) (N, L)
+  /// through dec1 -> softmax -> dec2 -> softmax -> dec3, giving each
+  /// region's row [W^Q | W^K | W^V] of the returned (N, 3J) tensor.
+  Tensor InferAttentionParams(const Tensor& z) const;
+
+  /// A-2 for one block: x (L, lanes) model-space history, w the block's
+  /// rows of InferAttentionParams (lanes, 3J row-major); writes the global
+  /// impacts Xg[:, t-L+1:t] into hist (L, lanes).
+  void AttentionLanes(const float* x, const float* w, int64_t lanes,
+                      float* hist, float* scratch) const;
+  int64_t AttentionLanesScratch(int64_t lanes) const {
+    return (3 * j_ + 4 * l_ * j_ + l_ * l_ + 2) * lanes;
+  }
+
+  /// Eq. 7 for one block: hist (L, lanes) -> X̂g[:, t+1] (lanes).
+  void PredictLanes(const float* hist, int64_t lanes, float* xg_next,
+                    float* scratch) const;
+  int64_t PredictLanesScratch(int64_t lanes) const {
+    return 2 * pred1_.out_features() * lanes;
+  }
+
   stats::DistributionFamily family() const { return family_; }
 
  private:

@@ -1,7 +1,10 @@
 #include "nn/linear.h"
 
+#include <cstring>
+
 #include "common/logging.h"
 #include "nn/init.h"
+#include "tensor/kernels.h"
 
 namespace ealgap {
 namespace nn {
@@ -32,6 +35,18 @@ Var Linear::Forward(const Var& x) const {
   Shape out_shape(in_shape.begin(), in_shape.end() - 1);
   out_shape.push_back(out_features_);
   return Reshape(out, std::move(out_shape));
+}
+
+void Linear::ForwardLanes(const float* x, int64_t lanes, float* out) const {
+  const kernels::KernelTable& t = kernels::Active();
+  std::memset(out, 0, static_cast<size_t>(out_features_ * lanes) * sizeof(float));
+  t.matmul_tn_rows(weight_.value().data(), x, out, 0, out_features_,
+                   out_features_, in_features_, lanes);
+  if (!bias_.defined()) return;
+  const float* b = bias_.value().data();
+  for (int64_t j = 0; j < out_features_; ++j) {
+    t.add_vs(out + j * lanes, b[j], out + j * lanes, lanes);
+  }
 }
 
 }  // namespace nn

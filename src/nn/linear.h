@@ -20,6 +20,14 @@ class Linear : public Module {
   /// x: (..., in_features) -> (..., out_features).
   Var Forward(const Var& x) const;
 
+  /// No-grad forward in lanes layout, where a batch is stored feature-major
+  /// with one column per batch row: x is (in_features, lanes), out is
+  /// (out_features, lanes), out = Wᵀ·x + b. Reads the live parameters and
+  /// is bit-identical to Forward() on the transposed batch: the product
+  /// keeps matmul's per-element expression tree and the bias is added
+  /// after it (DESIGN.md §8i).
+  void ForwardLanes(const float* x, int64_t lanes, float* out) const;
+
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }
   const Var& weight() const { return weight_; }

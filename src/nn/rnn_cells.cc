@@ -1,5 +1,7 @@
 #include "nn/rnn_cells.h"
 
+#include "tensor/kernels.h"
+
 namespace ealgap {
 namespace nn {
 
@@ -37,6 +39,36 @@ Var GruCell::Forward(const Var& x, const Var& h) const {
   Var n = Tanh(Add(in_.Forward(x), hn_.Forward(Mul(r, h))));
   Var one_minus_z = AddScalar(Neg(z), 1.f);
   return Add(Mul(one_minus_z, h), Mul(z, n));
+}
+
+void GruCell::StepLanes(const float* x, int64_t lanes, float* h,
+                        float* scratch) const {
+  // The same ops as Forward(), in the same order, one kernel call per
+  // (hidden, lanes) block.
+  const kernels::KernelTable& t = kernels::Active();
+  const int64_t n = hidden_size_ * lanes;
+  float* z = scratch;
+  float* r = z + n;
+  float* c = r + n;  // the candidate n of Forward()
+  float* tmp = c + n;
+  iz_.ForwardLanes(x, lanes, z);
+  hz_.ForwardLanes(h, lanes, tmp);
+  t.add_vv(z, tmp, z, n);
+  t.sigmoid(z, z, n);
+  ir_.ForwardLanes(x, lanes, r);
+  hr_.ForwardLanes(h, lanes, tmp);
+  t.add_vv(r, tmp, r, n);
+  t.sigmoid(r, r, n);
+  in_.ForwardLanes(x, lanes, c);
+  t.mul_vv(r, h, r, n);  // r ⊙ h
+  hn_.ForwardLanes(r, lanes, tmp);
+  t.add_vv(c, tmp, c, n);
+  t.tanh(c, c, n);
+  t.neg(z, tmp, n);  // 1 - z as (-z) + 1
+  t.add_vs(tmp, 1.f, tmp, n);
+  t.mul_vv(tmp, h, tmp, n);
+  t.mul_vv(z, c, z, n);
+  t.add_vv(tmp, z, h, n);
 }
 
 LstmCell::LstmCell(int64_t input_size, int64_t hidden_size, Rng& rng)

@@ -39,6 +39,16 @@ class GruCell : public Module {
   /// x: (B, input), h: (B, hidden) -> (B, hidden).
   Var Forward(const Var& x, const Var& h) const;
 
+  /// No-grad Forward() in lanes layout (Linear::ForwardLanes): x is
+  /// (input, lanes), h is (hidden, lanes) and is overwritten with h'.
+  /// Bit-identical to Forward() on the transposed batch. `scratch` holds
+  /// StepLanesScratch(lanes) floats.
+  void StepLanes(const float* x, int64_t lanes, float* h,
+                 float* scratch) const;
+  int64_t StepLanesScratch(int64_t lanes) const {
+    return 4 * hidden_size_ * lanes;
+  }
+
   int64_t hidden_size() const { return hidden_size_; }
 
  private:

@@ -1,6 +1,8 @@
 #include "stats/distribution.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.h"
 #include "tensor/kernels.h"
@@ -97,28 +99,73 @@ Tensor RowwisePdf(const Tensor& x, DistributionFamily family) {
   Tensor z(x.shape());
   const float* px = x.data();
   float* pz = z.data();
+  // Parameter fits stay in double (exact per row); the per-element PDF
+  // runs on the float32 SIMD kernels, bit-identical across backends. Rows
+  // are evaluated kBlock at a time in a (L, rows) transposed layout, so
+  // each kernel call spans a whole block instead of one L-wide row (whose
+  // few elements would all take the kernels' scalar tail). The arithmetic
+  // per element is exp_pdf_row's / normal_pdf_row's with the per-row
+  // parameters as lane vectors — no row is negative there, because the
+  // exponential fit rejects negative values.
+  constexpr int64_t kBlock = 64;
   // Reused across calls: RowwisePdf sits on the per-step serve path, where
-  // a fresh row buffer every call would be the only heap allocation left.
+  // a fresh row buffer every call would be a heap allocation. The block
+  // buffers are a Tensor, so serving takes them from its arena.
   static thread_local std::vector<double> row;
   row.resize(l);
-  // Parameter fits stay in double (exact per row); the per-element PDF
-  // evaluation runs on the float32 SIMD kernels — bit-identical across
-  // backends by the kernel-layer contract.
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < l; ++j) row[j] = px[i * l + j];
+  Tensor buf({(2 * l + 3) * kBlock});
+  float* xt = buf.data();             // (L, rows) block of x
+  float* et = xt + l * kBlock;        // (L, rows) densities
+  float* p0 = et + l * kBlock;        // per-row parameters
+  float* p1 = p0 + kBlock;
+  float* p2 = p1 + kBlock;
+  for (int64_t r0 = 0; r0 < n; r0 += kBlock) {
+    const int64_t rows = std::min(kBlock, n - r0);
+    for (int64_t i = 0; i < rows; ++i) {
+      const float* xi = px + (r0 + i) * l;
+      for (int64_t j = 0; j < l; ++j) {
+        row[j] = xi[j];
+        xt[j * rows + i] = xi[j];
+      }
+      if (family == DistributionFamily::kExponential) {
+        auto fit = ExponentialDistribution::Fit(row);
+        EALGAP_CHECK(fit.ok()) << fit.status().ToString();
+        const float lambda = static_cast<float>(fit->lambda());
+        p0[i] = -lambda;
+        p1[i] = lambda;
+      } else {
+        auto fit = NormalDistribution::Fit(row);
+        EALGAP_CHECK(fit.ok()) << fit.status().ToString();
+        const double stddev = fit->stddev();
+        p0[i] = static_cast<float>(fit->mean());
+        p1[i] = static_cast<float>(1.0 / stddev);
+        p2[i] = static_cast<float>(1.0 / (stddev * std::sqrt(2.0 * M_PI)));
+      }
+    }
     if (family == DistributionFamily::kExponential) {
-      auto fit = ExponentialDistribution::Fit(row);
-      EALGAP_CHECK(fit.ok()) << fit.status().ToString();
-      t.exp_pdf_row(px + i * l, static_cast<float>(fit->lambda()), pz + i * l,
-                    l);
+      // lambda * exp(-lambda * x)
+      for (int64_t j = 0; j < l; ++j) {
+        t.mul_vv(xt + j * rows, p0, et + j * rows, rows);
+      }
+      t.exp(et, et, l * rows);
+      for (int64_t j = 0; j < l; ++j) {
+        t.mul_vv(p1, et + j * rows, et + j * rows, rows);
+      }
     } else {
-      auto fit = NormalDistribution::Fit(row);
-      EALGAP_CHECK(fit.ok()) << fit.status().ToString();
-      const double stddev = fit->stddev();
-      t.normal_pdf_row(px + i * l, static_cast<float>(fit->mean()),
-                       static_cast<float>(1.0 / stddev),
-                       static_cast<float>(1.0 / (stddev * std::sqrt(2.0 * M_PI))),
-                       pz + i * l, l);
+      // inv_norm * exp(-0.5 * ((x - mean) * inv_stddev)^2)
+      for (int64_t j = 0; j < l; ++j) {
+        t.sub_vv(xt + j * rows, p0, et + j * rows, rows);
+        t.mul_vv(et + j * rows, p1, et + j * rows, rows);
+      }
+      t.mul_vv(et, et, et, l * rows);
+      t.mul_vs(et, -0.5f, et, l * rows);
+      t.exp(et, et, l * rows);
+      for (int64_t j = 0; j < l; ++j) {
+        t.mul_vv(p2, et + j * rows, et + j * rows, rows);
+      }
+    }
+    for (int64_t i = 0; i < rows; ++i) {
+      for (int64_t j = 0; j < l; ++j) pz[(r0 + i) * l + j] = et[j * rows + i];
     }
   }
   return z;

@@ -357,18 +357,6 @@ Var Relu(const Var& a) {
   });
 }
 
-Var ReluInPlace(Var a) {
-  // In-place is only legal when nobody can observe the old value: no graph
-  // is being recorded, this Var is the node's sole owner (it was moved in),
-  // and the tensor does not share storage with another tensor.
-  if (!GradEnabled() && !a.requires_grad() && a.node().use_count() == 1 &&
-      a.node()->value.StorageUnique()) {
-    ops::ReluInPlace(a.node()->value);
-    return a;
-  }
-  return Relu(a);
-}
-
 Var Abs(const Var& a) {
   return MakeOp(ops::Abs(a.value()), {&a}, [&] {
     auto na = a.node();

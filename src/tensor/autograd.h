@@ -93,11 +93,6 @@ Var Sqrt(const Var& a);
 Var Tanh(const Var& a);
 Var Sigmoid(const Var& a);
 Var Relu(const Var& a);
-/// Relu that overwrites `a`'s buffer when provably safe: grad recording off
-/// AND `a` (moved in) is the sole owner of its node and storage. Falls back
-/// to Relu(a) otherwise, so call sites never change semantics — only
-/// allocations. Serve-path use: the Eq. 11 output ReLU.
-Var ReluInPlace(Var a);
 Var Abs(const Var& a);
 Var MatMul(const Var& a, const Var& b);
 Var BMatMul(const Var& a, const Var& b);

@@ -81,6 +81,12 @@ struct KernelTable {
 
   // fused rows
   void (*softmax_row)(const float* src, float* dst, int64_t n);
+  /// softmax_row over each column of the (n, lanes) row-major matrix src,
+  /// bit-identical to it per column (NaN-free input, like softmax_row);
+  /// dst may equal src. The no-grad attention runs one softmax per region
+  /// and query step this way, vectorized across regions.
+  void (*softmax_cols)(const float* src, float* dst, int64_t n,
+                       int64_t lanes);
   /// out[i] = x[i] < 0 ? 0 : lambda * exp(-lambda * x[i])
   void (*exp_pdf_row)(const float* x, float lambda, float* o, int64_t n);
   /// out[i] = inv_norm * exp(-0.5 * ((x[i]-mean) * inv_stddev)^2)
@@ -92,6 +98,14 @@ struct KernelTable {
   /// element keeps the exact scalar accumulation order.
   void (*matmul_rows)(const float* pa, const float* pb, float* po, int64_t i0,
                       int64_t i1, int64_t k, int64_t n);
+  /// Rows [i0, i1) of the (m,k)x(k,n) product Aᵀ·B where pa holds A
+  /// transposed, (k,m) row-major — accumulated into po like matmul_rows,
+  /// with the same per-element expression tree. The no-grad inference
+  /// pass keeps activations feature-major (one column per region), so a
+  /// Linear there is Wᵀ·x with W read in place.
+  void (*matmul_tn_rows)(const float* pa, const float* pb, float* po,
+                         int64_t i0, int64_t i1, int64_t m, int64_t k,
+                         int64_t n);
 };
 
 /// The active table (resolved once: CPU detection + EALGAP_SIMD override).

@@ -299,6 +299,59 @@ void SoftmaxRow(const float* src, float* dst, int64_t n) {
   ScaleIp<B>(dst, inv, n);
 }
 
+/// softmax_row applied to every column of the (n, lanes) row-major matrix
+/// src, vectorized across columns. Per column it is SoftmaxRow's
+/// arithmetic: the max (taken sequentially — for NaN-free input the same
+/// value as MaxBlock's, up to the sign of a zero max, which cannot change
+/// VExp(x - max)), VExp of the differences, the 4-lane double sum of
+/// SumBlock combined in lane order, and one multiply by the float inverse.
+template <class B>
+void SoftmaxCols(const float* src, float* dst, int64_t n, int64_t lanes) {
+  using V = typename B::V;
+  constexpr int64_t kColBlock = 64;
+  float inv[kColBlock];
+  for (int64_t c0 = 0; c0 < lanes; c0 += kColBlock) {
+    const int64_t c1 = std::min(lanes, c0 + kColBlock);
+    int64_t c = c0;
+    // dst = exp(src - max), a vector of columns at a time.
+    for (; c + B::kWidth <= c1; c += B::kWidth) {
+      V mx = B::Load(src + c);
+      for (int64_t j = 1; j < n; ++j) {
+        mx = B::SMax(mx, B::Load(src + j * lanes + c));
+      }
+      for (int64_t j = 0; j < n; ++j) {
+        B::Store(dst + j * lanes + c,
+                 vec::VExp<B>(B::Sub(B::Load(src + j * lanes + c), mx)));
+      }
+    }
+    for (; c < c1; ++c) {
+      float mx = src[c];
+      for (int64_t j = 1; j < n; ++j) {
+        mx = VScalar::SMax(mx, src[j * lanes + c]);
+      }
+      for (int64_t j = 0; j < n; ++j) {
+        dst[j * lanes + c] = vec::VExp<VScalar>(src[j * lanes + c] - mx);
+      }
+    }
+    for (c = c0; c < c1; ++c) {
+      double acc[4] = {0.0, 0.0, 0.0, 0.0};
+      for (int64_t j = 0; j < n; ++j) {
+        acc[j & 3] += static_cast<double>(dst[j * lanes + c]);
+      }
+      inv[c - c0] =
+          static_cast<float>(1.0 / (((acc[0] + acc[1]) + acc[2]) + acc[3]));
+    }
+    for (int64_t j = 0; j < n; ++j) {
+      float* row = dst + j * lanes;
+      c = c0;
+      for (; c + B::kWidth <= c1; c += B::kWidth) {
+        B::Store(row + c, B::Mul(B::Load(row + c), B::Load(inv + (c - c0))));
+      }
+      for (; c < c1; ++c) row[c] = row[c] * inv[c - c0];
+    }
+  }
+}
+
 template <class B>
 void ExpPdfRow(const float* x, float lambda, float* o, int64_t n) {
   const typename B::V vneg = B::Set1(-lambda);
@@ -337,57 +390,101 @@ void NormalPdfRow(const float* x, float mean, float inv_stddev, float inv_norm,
 
 // --- matmul microkernel ---
 
-/// Rows [i0, i1) of the (m,k)x(k,n) product, i-k-j order, k unrolled by 4,
-/// vectorized across output columns j. Per output element the expression
-/// tree is fixed — ((a0*b0 + a1*b1) + a2*b2) + a3*b3, accumulated onto the
-/// running row — so scalar, SSE2 and AVX2 produce identical bits.
-template <class B>
-void MatMulRows(const float* pa, const float* pb, float* po, int64_t i0,
-                int64_t i1, int64_t k, int64_t n) {
+/// Output columns [j, j + T*W) of row `orow`, T in 1..4 vectors: loads the
+/// running sums once, folds in every p-group in order, stores once.
+template <class B, int T>
+inline void MatMulTile(const float* arow, int64_t sa_p, const float* pb,
+                       float* orow, int64_t j, int64_t k, int64_t n) {
   using V = typename B::V;
+  constexpr int W = B::kWidth;
+  static_assert(T >= 1 && T <= 4);
+  // One named register per vector; the sums past T are dead code.
+  V c0 = B::Load(orow + j), c1 = c0, c2 = c0, c3 = c0;
+  if constexpr (T >= 2) c1 = B::Load(orow + j + W);
+  if constexpr (T >= 3) c2 = B::Load(orow + j + 2 * W);
+  if constexpr (T >= 4) c3 = B::Load(orow + j + 3 * W);
+  int64_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    const V a0 = B::Set1(arow[p * sa_p]);
+    const V a1 = B::Set1(arow[(p + 1) * sa_p]);
+    const V a2 = B::Set1(arow[(p + 2) * sa_p]);
+    const V a3 = B::Set1(arow[(p + 3) * sa_p]);
+    const float* b0 = pb + p * n + j;
+    const float* b1 = b0 + n;
+    const float* b2 = b1 + n;
+    const float* b3 = b2 + n;
+    auto group = [&](int64_t o) {
+      V s = B::Mul(a0, B::Load(b0 + o));
+      s = B::Add(s, B::Mul(a1, B::Load(b1 + o)));
+      s = B::Add(s, B::Mul(a2, B::Load(b2 + o)));
+      return B::Add(s, B::Mul(a3, B::Load(b3 + o)));
+    };
+    c0 = B::Add(c0, group(0));
+    if constexpr (T >= 2) c1 = B::Add(c1, group(W));
+    if constexpr (T >= 3) c2 = B::Add(c2, group(2 * W));
+    if constexpr (T >= 4) c3 = B::Add(c3, group(3 * W));
+  }
+  for (; p < k; ++p) {
+    const V a = B::Set1(arow[p * sa_p]);
+    const float* b = pb + p * n + j;
+    c0 = B::Add(c0, B::Mul(a, B::Load(b)));
+    if constexpr (T >= 2) c1 = B::Add(c1, B::Mul(a, B::Load(b + W)));
+    if constexpr (T >= 3) c2 = B::Add(c2, B::Mul(a, B::Load(b + 2 * W)));
+    if constexpr (T >= 4) c3 = B::Add(c3, B::Mul(a, B::Load(b + 3 * W)));
+  }
+  B::Store(orow + j, c0);
+  if constexpr (T >= 2) B::Store(orow + j + W, c1);
+  if constexpr (T >= 3) B::Store(orow + j + 2 * W, c2);
+  if constexpr (T >= 4) B::Store(orow + j + 3 * W, c3);
+}
+
+/// Rows [i0, i1) of a (m,k)x(k,n) product accumulated into po, vectorized
+/// across output columns j. Element (i, p) of A is read at
+/// pa[i * sa_i + p * sa_p] — (k, 1) for row-major A, (1, m) for A stored
+/// transposed — always through a scalar broadcast, so the stride changes
+/// which float is read, never the arithmetic. Per output element the
+/// expression tree is fixed: k is split into groups of four, each group
+/// summed as ((a0*b0 + a1*b1) + a2*b2) + a3*b3 and added onto the running
+/// element, then the leftover products added one at a time. Scalar, SSE2
+/// and AVX2 therefore produce identical bits, both A layouts do, and so
+/// does any column tiling: tiles of up to four vectors keep the running
+/// sums in registers across the whole k loop, reading each B element once
+/// per row.
+template <class B>
+void MatMulRowsStrided(const float* pa, int64_t sa_i, int64_t sa_p,
+                       const float* pb, float* po, int64_t i0, int64_t i1,
+                       int64_t k, int64_t n) {
   constexpr int64_t kColBlock = 256;
   constexpr int W = B::kWidth;
   for (int64_t j0 = 0; j0 < n; j0 += kColBlock) {
     const int64_t j1 = std::min(n, j0 + kColBlock);
     for (int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + i * k;
+      const float* arow = pa + i * sa_i;
       float* orow = po + i * n;
-      int64_t p = 0;
-      for (; p + 4 <= k; p += 4) {
-        const float a0 = arow[p + 0], a1 = arow[p + 1];
-        const float a2 = arow[p + 2], a3 = arow[p + 3];
-        const float* b0 = pb + (p + 0) * n;
-        const float* b1 = pb + (p + 1) * n;
-        const float* b2 = pb + (p + 2) * n;
-        const float* b3 = pb + (p + 3) * n;
-        const V va0 = B::Set1(a0), va1 = B::Set1(a1);
-        const V va2 = B::Set1(a2), va3 = B::Set1(a3);
-        int64_t j = j0;
-        for (; j + W <= j1; j += W) {
-          V t = B::Mul(va0, B::Load(b0 + j));
-          t = B::Add(t, B::Mul(va1, B::Load(b1 + j)));
-          t = B::Add(t, B::Mul(va2, B::Load(b2 + j)));
-          t = B::Add(t, B::Mul(va3, B::Load(b3 + j)));
-          B::Store(orow + j, B::Add(B::Load(orow + j), t));
+      int64_t j = j0;
+      if constexpr (W > 1) {
+        for (; j + 4 * W <= j1; j += 4 * W) {
+          MatMulTile<B, 4>(arow, sa_p, pb, orow, j, k, n);
         }
-        for (; j < j1; ++j) {
-          float t = a0 * b0[j];
-          t = t + a1 * b1[j];
-          t = t + a2 * b2[j];
-          t = t + a3 * b3[j];
-          orow[j] = orow[j] + t;
+        switch ((j1 - j) / W) {  // the last 1-3 whole vectors, one tile
+          case 3:
+            MatMulTile<B, 3>(arow, sa_p, pb, orow, j, k, n);
+            j += 3 * W;
+            break;
+          case 2:
+            MatMulTile<B, 2>(arow, sa_p, pb, orow, j, k, n);
+            j += 2 * W;
+            break;
+          case 1:
+            MatMulTile<B, 1>(arow, sa_p, pb, orow, j, k, n);
+            j += W;
+            break;
+          default:
+            break;
         }
       }
-      for (; p < k; ++p) {
-        const float av = arow[p];
-        const float* brow = pb + p * n;
-        const V vav = B::Set1(av);
-        int64_t j = j0;
-        for (; j + W <= j1; j += W) {
-          B::Store(orow + j,
-                   B::Add(B::Load(orow + j), B::Mul(vav, B::Load(brow + j))));
-        }
-        for (; j < j1; ++j) orow[j] = orow[j] + av * brow[j];
+      for (; j < j1; ++j) {
+        MatMulTile<VScalar, 1>(arow, sa_p, pb, orow, j, k, n);
       }
     }
   }
@@ -522,19 +619,34 @@ void NormalPdfRowD(const float* x, float mean, float inv_stddev,
   NormalPdfRow<B>(x, mean, inv_stddev, inv_norm, o, n);
 }
 
-/// The B-row loads of MatMulRows walk pb/po at offsets p*n + j with j a
-/// multiple of kWidth, so every load is aligned iff the bases are 64-byte
-/// aligned AND a row stride of n floats preserves that (n % 16 == 0, i.e.
-/// 64 bytes). arow is consumed through Set1 broadcasts — no requirement.
+/// The B-row loads of MatMulRowsStrided walk pb/po at offsets p*n + j with
+/// j a multiple of kWidth, so every load is aligned iff the bases are
+/// 64-byte aligned AND a row stride of n floats preserves that (n % 16 ==
+/// 0, i.e. 64 bytes). A is consumed through Set1 broadcasts — no
+/// requirement.
+template <class B>
+void MatMulStridedD(const float* pa, int64_t sa_i, int64_t sa_p,
+                    const float* pb, float* po, int64_t i0, int64_t i1,
+                    int64_t k, int64_t n) {
+  if constexpr (B::kWidth > 1) {
+    if (Aligned64(pb) && Aligned64(po) && (n & 15) == 0) {
+      return MatMulRowsStrided<AlignedIO<B>>(pa, sa_i, sa_p, pb, po, i0, i1,
+                                             k, n);
+    }
+  }
+  MatMulRowsStrided<B>(pa, sa_i, sa_p, pb, po, i0, i1, k, n);
+}
+
 template <class B>
 void MatMulRowsD(const float* pa, const float* pb, float* po, int64_t i0,
                  int64_t i1, int64_t k, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(pb) && Aligned64(po) && (n & 15) == 0) {
-      return MatMulRows<AlignedIO<B>>(pa, pb, po, i0, i1, k, n);
-    }
-  }
-  MatMulRows<B>(pa, pb, po, i0, i1, k, n);
+  MatMulStridedD<B>(pa, k, 1, pb, po, i0, i1, k, n);
+}
+
+template <class B>
+void MatMulTnRowsD(const float* pa, const float* pb, float* po, int64_t i0,
+                   int64_t i1, int64_t m, int64_t k, int64_t n) {
+  MatMulStridedD<B>(pa, 1, m, pb, po, i0, i1, k, n);
 }
 
 template <class B>
@@ -572,10 +684,12 @@ KernelTable MakeTable(Backend backend) {
   t.sumsq_block = &SumSqBlock<B>;
   t.max_block = &MaxBlock<B>;
   t.softmax_row = &SoftmaxRowD<B>;
+  t.softmax_cols = &SoftmaxCols<B>;
   t.exp_pdf_row = &ExpPdfRowD<B>;
   t.normal_pdf_row = &NormalPdfRowD<B>;
   t.copy = &CopyK<B>;
   t.matmul_rows = &MatMulRowsD<B>;
+  t.matmul_tn_rows = &MatMulTnRowsD<B>;
   return t;
 }
 

@@ -313,14 +313,6 @@ void ScaleInPlace(Tensor& a, float s) {
   });
 }
 
-void ReluInPlace(Tensor& a) {
-  const KernelTable& t = kernels::Active();
-  float* pa = a.data();
-  ParallelFor(0, a.numel(), kElemGrain, [&](int64_t i0, int64_t i1) {
-    t.relu_ip(pa + i0, i1 - i0);
-  });
-}
-
 void ClampInPlace(Tensor& a, float lo, float hi) {
   const KernelTable& t = kernels::Active();
   float* pa = a.data();

@@ -43,9 +43,6 @@ void AddInPlace(Tensor& a, const Tensor& b);
 void AxpyInPlace(Tensor& a, float alpha, const Tensor& b);
 /// a *= s.
 void ScaleInPlace(Tensor& a, float s);
-/// a = max(a, 0) elementwise. Used by the serve path to fuse ReLU into the
-/// Eq. 11 extreme-modulation output without a temporary.
-void ReluInPlace(Tensor& a);
 /// a = min(hi, max(lo, a)) elementwise.
 void ClampInPlace(Tensor& a, float lo, float hi);
 /// Sum of squared elements, accumulated in double with a deterministic

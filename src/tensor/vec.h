@@ -265,6 +265,17 @@ struct VAvx2 {
 
 // --- deterministic vector math (same algorithm in every backend) ---
 
+/// Forced inlining for the math functions below: left to itself the
+/// compiler emits VExp out of line, and every vector then pays a call and
+/// spills its live registers around it. Inlining changes scheduling only —
+/// the same IEEE operations run in the same order, so results are
+/// unchanged.
+#if defined(__GNUC__)
+#define EALGAP_VEC_INLINE [[gnu::always_inline]] inline
+#else
+#define EALGAP_VEC_INLINE inline
+#endif
+
 /// Cephes-style expf. Accuracy ~2 ULP vs libm on [-87.33, 88.02].
 /// Out-of-range behavior (part of the determinism contract):
 ///   x > kExpHi        -> +inf   (true expf stays finite up to 88.72)
@@ -275,7 +286,7 @@ inline constexpr float kExpHi = 88.02f;
 inline constexpr float kExpLo = -87.33654f;
 
 template <class B>
-typename B::V VExp(typename B::V x) {
+EALGAP_VEC_INLINE typename B::V VExp(typename B::V x) {
   using V = typename B::V;
   const V zero = B::Set1(0.f);
   const V m_hi = B::CmpGt(x, B::Set1(kExpHi));
@@ -311,7 +322,7 @@ typename B::V VExp(typename B::V x) {
 /// Cephes-style tanhf: polynomial on |x| < 0.625, exp-based elsewhere.
 /// tanh(±inf) = ±1; NaN propagates.
 template <class B>
-typename B::V VTanh(typename B::V x) {
+EALGAP_VEC_INLINE typename B::V VTanh(typename B::V x) {
   using V = typename B::V;
   const V sign_mask = B::Set1(std::bit_cast<float>(0x80000000u));
   const V sign = B::And(x, sign_mask);
@@ -339,7 +350,7 @@ typename B::V VTanh(typename B::V x) {
 /// Logistic sigmoid 1 / (1 + e^{-x}), defined through VExp so it shares
 /// its determinism contract. sigmoid(+inf)=1, sigmoid(-inf)=0, NaN -> NaN.
 template <class B>
-typename B::V VSigmoid(typename B::V x) {
+EALGAP_VEC_INLINE typename B::V VSigmoid(typename B::V x) {
   using B_ = B;
   const typename B::V e =
       VExp<B_>(B::Xor(x, B::Set1(std::bit_cast<float>(0x80000000u))));

@@ -7,8 +7,9 @@
 //    thread-local current arena.
 //  * Zero-allocation serving: after a warm-up step, a steady-state
 //    Observe/PredictNext loop — through ResilientPredictor, on both the
-//    healthy path and a fault-armed degraded path — performs ZERO heap
-//    allocations, counted by the malloc-interposition hook in
+//    healthy path and a fault-armed degraded path, and for a 1000-region
+//    city whose forward fans region blocks across the pool — performs ZERO
+//    heap allocations, counted by the malloc-interposition hook in
 //    alloc_count_hook.cc (linked only into this binary).
 //
 // Under sanitizers the hook is compiled out (ASan owns malloc); the
@@ -29,6 +30,7 @@
 #include "common/thread_pool.h"
 #include "core/ealgap.h"
 #include "data/dataset.h"
+#include "data/synthetic_city.h"
 #include "serve/online_predictor.h"
 #include "serve/resilient_predictor.h"
 #include "tensor/tensor.h"
@@ -290,6 +292,58 @@ TEST_F(AllocGuardServeTest, DegradedSteadyStateServesWithZeroAllocations) {
   EXPECT_EQ(allocs, 0) << "degraded serve loop hit the heap; arena "
                           "high-water "
                        << predictor->arena()->high_water_bytes() << " bytes";
+}
+
+// A city of 1000 regions spans 16 blocks of the fused no-grad forward, so
+// with 4 pool threads the blocks fan out across workers: the per-chunk
+// scratch comes from the predictor's arena and the dispatch itself must
+// stay off the heap too.
+TEST(AllocGuardBlockedServeTest, ThousandRegionStreamServesWithZeroAllocations) {
+  data::RegionSeriesConfig config;
+  config.num_regions = 1000;
+  config.num_days = 40;
+  data::DatasetOptions options;
+  options.history_length = 5;
+  options.num_windows = 3;
+  options.norm_history = 3;
+  auto ds = data::SlidingWindowDataset::Create(
+      data::GenerateRegionSeries(config), options);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  auto split = data::MakeChronoSplit(*ds);
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  core::EalgapForecaster model;
+  TrainConfig train;
+  train.epochs = 0;  // initialized weights: the forward's cost is the same
+  train.seed = 11;
+  ASSERT_TRUE(model.Fit(*ds, *split, train).ok());
+  const int saved_threads = GetNumThreads();
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    auto predictor =
+        serve::OnlinePredictor::Create(&model, *ds, split->test_begin);
+    ASSERT_TRUE(predictor.ok()) << predictor.status().ToString();
+    serve::ResilientPredictor served(&*predictor);
+    serve::ServedPrediction out;
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(served.PredictNextInto(&out).ok());
+      ASSERT_TRUE(served.Observe(out.values).ok());
+    }
+    alloc_count::ScopedCounter counter;
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(served.PredictNextInto(&out).ok());
+      ASSERT_TRUE(served.Observe(out.values).ok());
+    }
+    const std::int64_t allocs = counter.delta();
+    EXPECT_EQ(out.source, serve::FallbackLevel::kFullModel);
+    if (!alloc_count::HookLinked()) {
+      SetNumThreads(saved_threads);
+      GTEST_SKIP() << "allocation hook not linked (sanitizer build)";
+    }
+    EXPECT_EQ(allocs, 0) << "1000-region serve loop hit the heap (threads="
+                         << threads << "); arena high-water "
+                         << predictor->arena()->high_water_bytes() << " bytes";
+  }
+  SetNumThreads(saved_threads);
 }
 
 TEST_F(AllocGuardServeTest, ArenaRewindsToEmptyBetweenSteps) {

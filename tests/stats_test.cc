@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -7,6 +9,7 @@
 #include "stats/distribution.h"
 #include "stats/histogram.h"
 #include "stats/metrics.h"
+#include "tensor/kernels.h"
 
 namespace ealgap {
 namespace {
@@ -86,6 +89,58 @@ TEST(DistributionTest, RowwisePdfMatchesScalarPdf) {
   EXPECT_NEAR(z.at({1, 2}), row1.Pdf(30.0), 1e-6);
   Tensor zn = stats::RowwisePdf(x, stats::DistributionFamily::kNormal);
   EXPECT_GT(zn.at({0, 1}), zn.at({0, 2}));  // density peaks near the mean
+}
+
+// RowwisePdf evaluates blocks of rows at once; each row must still be
+// exactly what the per-row PDF kernels make of that row's fit, in every
+// backend, for block-straddling row counts and all-zero rows.
+TEST(DistributionTest, RowwisePdfIsTheRowKernelsBitForBit) {
+  const kernels::Backend native = kernels::ActiveBackend();
+  Rng rng(29);
+  for (kernels::Backend b : {kernels::Backend::kScalar,
+                             kernels::Backend::kSse2,
+                             kernels::Backend::kAvx2}) {
+    if (!kernels::BackendSupported(b)) continue;
+    kernels::SetBackendForTesting(b);
+    const kernels::KernelTable& t = kernels::Active();
+    for (int64_t n : {1, 63, 64, 65, 130}) {
+      for (int64_t l : {1, 2, 5, 9}) {
+        Tensor x = Tensor::Rand({n, l}, rng, 0.f, 40.f);
+        for (int64_t j = 0; j < l; ++j) x.data()[(n / 2) * l + j] = 0.f;
+        for (auto family : {stats::DistributionFamily::kExponential,
+                            stats::DistributionFamily::kNormal}) {
+          const Tensor z = stats::RowwisePdf(x, family);
+          std::vector<double> row(l);
+          std::vector<float> want(l);
+          for (int64_t i = 0; i < n; ++i) {
+            const float* xi = x.data() + i * l;
+            for (int64_t j = 0; j < l; ++j) row[j] = xi[j];
+            if (family == stats::DistributionFamily::kExponential) {
+              auto fit = stats::ExponentialDistribution::Fit(row);
+              ASSERT_TRUE(fit.ok());
+              t.exp_pdf_row(xi, static_cast<float>(fit->lambda()),
+                            want.data(), l);
+            } else {
+              auto fit = stats::NormalDistribution::Fit(row);
+              ASSERT_TRUE(fit.ok());
+              const double sd = fit->stddev();
+              t.normal_pdf_row(
+                  xi, static_cast<float>(fit->mean()),
+                  static_cast<float>(1.0 / sd),
+                  static_cast<float>(1.0 / (sd * std::sqrt(2.0 * M_PI))),
+                  want.data(), l);
+            }
+            ASSERT_EQ(std::memcmp(want.data(), z.data() + i * l,
+                                  l * sizeof(float)),
+                      0)
+                << kernels::BackendName(b) << " n=" << n << " l=" << l
+                << " row " << i;
+          }
+        }
+      }
+    }
+  }
+  kernels::SetBackendForTesting(native);
 }
 
 // --- descriptive ------------------------------------------------------------

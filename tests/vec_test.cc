@@ -253,6 +253,93 @@ TEST(VecParity, MatMulRows) {
   }
 }
 
+// The per-element expression tree matmul_rows documents: k in groups of
+// four, each group ((a0*b0 + a1*b1) + a2*b2) + a3*b3 added onto the
+// running element, leftover products added one at a time.
+float TreeDot(const std::vector<float>& a, int64_t i, int64_t k,
+              const std::vector<float>& b, int64_t j, int64_t n) {
+  float o = 0.f;
+  int64_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    float t = a[i * k + p] * b[p * n + j];
+    t = t + a[i * k + p + 1] * b[(p + 1) * n + j];
+    t = t + a[i * k + p + 2] * b[(p + 2) * n + j];
+    t = t + a[i * k + p + 3] * b[(p + 3) * n + j];
+    o = o + t;
+  }
+  for (; p < k; ++p) o = o + a[i * k + p] * b[p * n + j];
+  return o;
+}
+
+// matmul_rows and matmul_tn_rows (A stored transposed) both follow the
+// documented tree, in every backend, across the column-tile boundaries.
+TEST(VecParity, MatMulKernelsFollowTheDocumentedTree) {
+  std::vector<NamedTable> tables = AltTables();
+  tables.push_back({"scalar", &Scalar()});
+  for (const NamedTable& nt : tables) {
+    for (int64_t m : {1, 3, 16}) {
+      for (int64_t k : {1, 2, 4, 5, 8, 17}) {
+        for (int64_t n : {1, 7, 8, 16, 33, 64, 70, 300}) {
+          std::vector<float> a = MakeInput(m * k, 0, 6);
+          std::vector<float> b = MakeInput(k * n, 0, 7);
+          std::vector<float> at(k * m);
+          for (int64_t i = 0; i < m; ++i) {
+            for (int64_t p = 0; p < k; ++p) at[p * m + i] = a[i * k + p];
+          }
+          std::vector<float> o(m * n, 0.f), ot(m * n, 0.f);
+          nt.t->matmul_rows(a.data(), b.data(), o.data(), 0, m, k, n);
+          nt.t->matmul_tn_rows(at.data(), b.data(), ot.data(), 0, m, m, k, n);
+          for (int64_t i = 0; i < m; ++i) {
+            for (int64_t j = 0; j < n; ++j) {
+              const float want = TreeDot(a, i, k, b, j, n);
+              ASSERT_EQ(Bits(want), Bits(o[i * n + j]))
+                  << "matmul_rows [" << nt.name << "] m=" << m << " k=" << k
+                  << " n=" << n << " at (" << i << "," << j << ")";
+              ASSERT_EQ(Bits(want), Bits(ot[i * n + j]))
+                  << "matmul_tn_rows [" << nt.name << "] m=" << m
+                  << " k=" << k << " n=" << n << " at (" << i << "," << j
+                  << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// softmax_cols is softmax_row down every column, bit for bit, including
+// signed-zero maxima and in place.
+TEST(VecParity, SoftmaxColsIsSoftmaxRowPerColumn) {
+  std::vector<NamedTable> tables = AltTables();
+  tables.push_back({"scalar", &Scalar()});
+  for (const NamedTable& nt : tables) {
+    for (int64_t n : {1, 2, 4, 5, 6, 9, 17}) {
+      for (int64_t lanes : {1, 3, 8, 16, 64, 70, 130}) {
+        std::vector<float> src = MakeInput(n * lanes, 0, 8);
+        for (int64_t i = 0; i < n * lanes; i += 7) {
+          src[i] = (i / 7) % 2 ? -0.f : 0.f;  // ties between +0 and -0
+        }
+        std::vector<float> dst(n * lanes, -777.f);
+        nt.t->softmax_cols(src.data(), dst.data(), n, lanes);
+        std::vector<float> inplace = src;
+        nt.t->softmax_cols(inplace.data(), inplace.data(), n, lanes);
+        std::vector<float> col(n), want(n);
+        for (int64_t c = 0; c < lanes; ++c) {
+          for (int64_t j = 0; j < n; ++j) col[j] = src[j * lanes + c];
+          Scalar().softmax_row(col.data(), want.data(), n);
+          for (int64_t j = 0; j < n; ++j) {
+            ASSERT_EQ(Bits(want[j]), Bits(dst[j * lanes + c]))
+                << "softmax_cols [" << nt.name << "] n=" << n
+                << " lanes=" << lanes << " at (" << j << "," << c << ")";
+            ASSERT_EQ(Bits(want[j]), Bits(inplace[j * lanes + c]))
+                << "softmax_cols in place [" << nt.name << "]";
+          }
+        }
+      }
+    }
+  }
+}
+
 // Aligned-dispatch parity: kernels silently switch to aligned load/store
 // instructions when operand base pointers are 64-byte aligned
 // (kernels_impl.h, AlignedIO). Both paths must produce identical bits:
