@@ -2,8 +2,9 @@
 # Tier-1 CI gate: build, run the full test suite, rehearse an interrupted
 # experiment sweep (crash + resume must reproduce the clean run byte for
 # byte), check the CLI rejects unknown flags, chaos-soak the serving daemon
-# with faults armed (plain and adaptive), TSan the concurrent serving paths, ASan the
-# checkpoint/resume loaders, and UBSan the adaptation arithmetic and loaders.
+# with faults armed (plain, adaptive, and adaptive without checkpoints),
+# TSan the concurrent serving paths, ASan the checkpoint/resume loaders,
+# and UBSan the adaptation arithmetic and loaders.
 #
 # Usage: scripts/ci.sh
 #   BUILD_DIR=<dir>       main build directory   (default: build)
@@ -130,6 +131,16 @@ EALGAP_FAULTS="serve.adapt.nan:every=3,serve.adapt.reject:every=4,serve.adapt.er
   --state-dir "$RESUME_TMP/daemon_state_adapt" | tail -n 4
 echo "daemon soak: adaptive fault-armed run exited clean with full attribution"
 
+# The in-memory adaptive restart leg: the same adaptation run with shard
+# crashes armed but NO --state-dir, so every restart re-seeds from the
+# dataset over the in-memory model and builds a fresh adaptive layer. Exit
+# 0 is again the adaptation-attribution assertion.
+EALGAP_FAULTS="serve.adapt.nan:every=3,serve.adapt.reject:every=4,daemon.shard.crash:every=83" \
+  "$TOOL" daemon --shards 2 --ticks 200 --days 40 --epochs 0 --adapt \
+  --adapt-cusum-h 4 --adapt-window 32 --adapt-min-window 12 \
+  --adapt-holdout 4 --adapt-cooldown 8 | tail -n 4
+echo "daemon soak: in-memory adaptive restarts exited clean with full attribution"
+
 echo "===== alloc-free stage: zero-allocation serve contract ====="
 # The counting run: alloc_guard_test links a malloc-family interposition
 # hook and asserts 0 heap allocations over 240-step healthy AND
@@ -147,13 +158,16 @@ echo "===== TSan: concurrent serving + training paths ====="
 cmake -B "$TSAN_BUILD_DIR" -S . -G Ninja -DEALGAP_SANITIZE=thread
 # daemon_test is the TSan leg of the daemon soak: the multi-producer
 # queue stress and the cross-shard ParallelFor serve fan-out both run
-# with sanitized interleavings here.
+# with sanitized interleavings here. alloc_guard_test's malloc hook
+# compiles out under TSan (as under ASan); its multi-threaded serve
+# replays, the 1000-region blocked forward among them, still run.
 cmake --build "$TSAN_BUILD_DIR" -j --target \
   serve_parity_test determinism_test thread_pool_test ops_parallel_test \
-  fault_injection_test train_resume_test daemon_test ealgap_infer_test
+  fault_injection_test train_resume_test daemon_test ealgap_infer_test \
+  alloc_guard_test
 for t in serve_parity_test determinism_test thread_pool_test \
          ops_parallel_test fault_injection_test train_resume_test \
-         daemon_test ealgap_infer_test; do
+         daemon_test ealgap_infer_test alloc_guard_test; do
   echo "----- TSan: $t -----"
   EALGAP_NUM_THREADS=4 "./$TSAN_BUILD_DIR/tests/$t"
 done

@@ -108,14 +108,6 @@ Result<std::unique_ptr<AdaptivePredictor>> AdaptivePredictor::Create(
   return wrapper;
 }
 
-Result<std::unique_ptr<AdaptivePredictor>> AdaptivePredictor::Create(
-    std::unique_ptr<NeuralForecaster> model, AdaptOptions options) {
-  EALGAP_ASSIGN_OR_RETURN(std::unique_ptr<AdaptivePredictor> wrapper,
-                          Create(model.get(), options));
-  wrapper->owned_model_ = std::move(model);
-  return wrapper;
-}
-
 std::string AdaptivePredictor::name() const { return model_->name(); }
 
 bool AdaptivePredictor::SupportsStreaming() const {

@@ -169,10 +169,6 @@ class AdaptivePredictor : public Forecaster {
   static Result<std::unique_ptr<AdaptivePredictor>> Create(
       NeuralForecaster* model, AdaptOptions options = {});
 
-  /// Owning variant (the daemon's shards hand their model over wholesale).
-  static Result<std::unique_ptr<AdaptivePredictor>> Create(
-      std::unique_ptr<NeuralForecaster> model, AdaptOptions options = {});
-
   std::string name() const override;
   bool SupportsStreaming() const override;
 
@@ -229,8 +225,7 @@ class AdaptivePredictor : public Forecaster {
                        std::vector<double>* out, Status* forward);
   Result<AdaptEvent> RunAttempt();
 
-  NeuralForecaster* model_;        // owned iff owned_model_ holds it
-  std::unique_ptr<NeuralForecaster> owned_model_;
+  NeuralForecaster* model_;  // not owned
   AdaptOptions options_;
 
   AdaptStats stats_;

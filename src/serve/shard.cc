@@ -3,23 +3,8 @@
 #include <filesystem>
 #include <utility>
 
-#include "baselines/neural.h"
-
 namespace ealgap {
 namespace serve {
-
-namespace {
-
-/// The checkpointable model behind a served Forecaster: the adaptive
-/// wrapper checkpoints its inner model (detector state has its own file).
-NeuralForecaster* CheckpointableModel(Forecaster* model) {
-  if (auto* adaptive = dynamic_cast<AdaptivePredictor*>(model)) {
-    return adaptive->model();
-  }
-  return dynamic_cast<NeuralForecaster*>(model);
-}
-
-}  // namespace
 
 const char* RejectCauseName(RejectCause cause) {
   switch (cause) {
@@ -40,11 +25,8 @@ const char* ShardHealthName(ShardHealth health) {
 }
 
 Result<std::unique_ptr<Shard>> Shard::Create(
-    data::SlidingWindowDataset dataset, std::unique_ptr<Forecaster> model,
+    data::SlidingWindowDataset dataset, std::unique_ptr<NeuralForecaster> model,
     int64_t serve_begin, ShardConfig config, ModelReloader reloader) {
-  if (model == nullptr) {
-    return Status::InvalidArgument("Shard needs a fitted model");
-  }
   if (config.queue_capacity < 2) config.queue_capacity = 2;
   auto shard = std::unique_ptr<Shard>(new Shard());
   shard->config_ = std::move(config);
@@ -55,7 +37,9 @@ Result<std::unique_ptr<Shard>> Shard::Create(
   shard->next_feed_step_ = serve_begin;
   shard->queue_ =
       std::make_unique<BoundedQueue<Request>>(shard->config_.queue_capacity);
-  EALGAP_RETURN_IF_ERROR(shard->SeedPredictor());
+  EALGAP_ASSIGN_OR_RETURN(
+      shard->stack_, BuildStack(shard->model_.get(), shard->config_,
+                                shard->dataset_, serve_begin));
 
   if (!shard->config_.state_dir.empty()) {
     std::error_code ec;
@@ -66,17 +50,14 @@ Result<std::unique_ptr<Shard>> Shard::Create(
     }
     // The model checkpoint is written at creation; without adaptation the
     // parameters never change while serving, and with it MaybeCheckpoint
-    // re-saves the file after committed adaptations. Non-neural models
-    // have no checkpoint format; their restarts reuse the in-memory
-    // object.
-    if (auto* neural = CheckpointableModel(shard->model_.get())) {
-      Status saved = neural->SaveCheckpoint(shard->ModelPath());
-      if (!saved.ok()) ++shard->totals_.checkpoint_failures;
+    // re-saves the file after committed adaptations.
+    if (!shard->model_->SaveCheckpoint(shard->ModelPath()).ok()) {
+      ++shard->totals_.checkpoint_failures;
     }
     // The initial predictor-state checkpoint guarantees a restart always
     // finds SOMETHING on disk — a crash in the first cadence window must
     // not force a cold re-seed.
-    Status saved = shard->predictor_->SaveState(shard->StatePath());
+    Status saved = shard->stack_.online->SaveState(shard->StatePath());
     if (saved.ok()) {
       ++shard->totals_.checkpoints_written;
     } else {
@@ -84,19 +65,6 @@ Result<std::unique_ptr<Shard>> Shard::Create(
     }
   }
   return shard;
-}
-
-Status Shard::SeedPredictor() {
-  auto predictor =
-      OnlinePredictor::Create(model_.get(), dataset_, serve_begin_);
-  EALGAP_RETURN_IF_ERROR(predictor.status());
-  predictor_ =
-      std::make_unique<OnlinePredictor>(std::move(predictor).value());
-  predictor_->SetGuardPolicy(config_.guard);
-  resilient_ =
-      std::make_unique<ResilientPredictor>(predictor_.get(),
-                                           config_.resilience);
-  return Status::OK();
 }
 
 const std::vector<double>& Shard::FeedCounts(int64_t step) {
@@ -114,7 +82,7 @@ const std::vector<double>& Shard::FeedCounts(int64_t step) {
 
 void Shard::ApplyObserve(const Request& request) {
   const std::vector<double>& counts = FeedCounts(request.feed_step);
-  const Status st = resilient_->ObserveAt(request.feed_step, counts);
+  const Status st = stack_.resilient->ObserveAt(request.feed_step, counts);
   if (st.ok()) {
     ++totals_.observes_applied;
     ++observes_since_checkpoint_;
@@ -126,12 +94,12 @@ void Shard::ApplyObserve(const Request& request) {
 }
 
 bool Shard::ServePredictStep(double deadline_ms) {
-  resilient_->set_deadline_ms(deadline_ms);
-  return resilient_->PredictNextInto(&last_served_).ok();
+  stack_.resilient->set_deadline_ms(deadline_ms);
+  return stack_.resilient->PredictNextInto(&last_served_).ok();
 }
 
 const std::vector<double>& Shard::ExpiredFallback() {
-  predictor_->MatchedMeanNextInto(&expired_scratch_);
+  stack_.online->MatchedMeanNextInto(&expired_scratch_);
   return expired_scratch_;
 }
 
@@ -185,7 +153,7 @@ void Shard::FoldIncarnation(ShardTotals* out) const {
   if (const AdaptivePredictor* ap = adaptive()) {
     out->adapt.Accumulate(ap->stats());
   }
-  const GuardStats& gs = predictor_->guard_stats();
+  const GuardStats& gs = stack_.online->guard_stats();
   out->repaired_values += gs.repaired_values;
   out->gap_steps_filled += gs.gap_steps_filled;
   if (out->quarantine_by_region.size() < gs.quarantine.size()) {
@@ -197,45 +165,36 @@ void Shard::FoldIncarnation(ShardTotals* out) const {
 }
 
 Status Shard::Restart() {
-  FoldIncarnation(&totals_);  // the dying incarnation's counters
-
-  bool restored = false;
+  std::unique_ptr<NeuralForecaster> reloaded;
+  std::string state_path;
   if (!config_.state_dir.empty()) {
+    state_path = StatePath();
     if (reloader_) {
       auto model = reloader_(ModelPath());
-      if (model.ok()) model_ = std::move(model).value();
+      if (model.ok()) reloaded = std::move(model).value();
       // A failed model reload falls back to the in-memory object: the
       // parameters are identical, only the load-path rehearsal is lost.
     }
-    auto state = OnlinePredictor::LoadState(StatePath(), model_.get());
-    if (state.ok()) {
-      predictor_ =
-          std::make_unique<OnlinePredictor>(std::move(state).value());
-      predictor_->SetGuardPolicy(config_.guard);
-      resilient_ = std::make_unique<ResilientPredictor>(predictor_.get(),
-                                                        config_.resilience);
-      restored = true;
-      ++totals_.restarts_from_checkpoint;
-    }
   }
-  if (!restored) {
-    // No state dir, or the checkpoint is missing/corrupt (CRC validation
-    // rejected it): cold re-seed from the original dataset. The feed gap
-    // back to the live stream position is then absorbed by the guard.
-    EALGAP_RETURN_IF_ERROR(SeedPredictor());
-  }
+  // A missing or corrupt state file (the CRC rejected it) cold re-seeds
+  // from the original dataset; the guard absorbs the feed gap back to the
+  // live stream position.
+  EALGAP_ASSIGN_OR_RETURN(
+      Stack stack,
+      BuildStack(reloaded != nullptr ? reloaded.get() : model_.get(), config_,
+                 dataset_, serve_begin_, state_path));
+  FoldIncarnation(&totals_);  // the dying incarnation's counters
+  stack_ = std::move(stack);
+  if (reloaded != nullptr) model_ = std::move(reloaded);
+  if (stack_.restored) ++totals_.restarts_from_checkpoint;
 
-  // A reloaded adaptive wrapper starts a fresh incarnation (zero stats,
-  // frozen A/B arm rebaselined to the reloaded — possibly adapted —
-  // weights); its drift posture resumes from the persisted adapt state.
+  // The fresh adaptive incarnation resumes the persisted drift posture.
   adapt_commits_checkpointed_ = 0;
-  if (auto* ap = adaptive()) {
-    if (!config_.state_dir.empty() &&
-        std::filesystem::exists(AdaptStatePath())) {
-      // A corrupt adapt state is survivable: the detector restarts cold,
-      // exactly like a missing file. The CRC rejected it, nothing loaded.
-      (void)ap->LoadState(AdaptStatePath());
-    }
+  if (stack_.adaptive != nullptr && !state_path.empty() &&
+      std::filesystem::exists(AdaptStatePath())) {
+    // A corrupt adapt state is survivable: the detector restarts cold,
+    // exactly like a missing file. The CRC rejected it, nothing loaded.
+    (void)stack_.adaptive->LoadState(AdaptStatePath());
   }
 
   health_ = ShardHealth::kProbation;
@@ -248,34 +207,30 @@ Status Shard::Restart() {
 
 Result<AdaptEvent> Shard::MaybeAdapt() {
   if (health_ == ShardHealth::kQuarantined) return AdaptEvent{};
-  auto* ap = adaptive();
-  if (ap == nullptr) return AdaptEvent{};
-  return ap->MaybeAdapt();
+  if (stack_.adaptive == nullptr) return AdaptEvent{};
+  return stack_.adaptive->MaybeAdapt();
 }
 
 void Shard::MaybeCheckpoint() {
   if (config_.state_dir.empty() || config_.checkpoint_every_steps <= 0) return;
   if (observes_since_checkpoint_ < config_.checkpoint_every_steps) return;
   observes_since_checkpoint_ = 0;  // keep the cadence even when writes fail
-  const Status saved = predictor_->SaveState(StatePath());
+  const Status saved = stack_.online->SaveState(StatePath());
   if (saved.ok()) {
     ++totals_.checkpoints_written;
   } else {
     ++totals_.checkpoint_failures;
   }
-  if (auto* ap = adaptive()) {
+  if (const AdaptivePredictor* ap = adaptive()) {
     // Committed adaptations changed the weights since the last model save:
     // without this re-save a quarantine-restart would silently serve the
     // pre-adaptation parameters.
     if (ap->stats().commits != adapt_commits_checkpointed_) {
-      if (auto* neural = CheckpointableModel(model_.get())) {
-        const Status model_saved = neural->SaveCheckpoint(ModelPath());
-        if (model_saved.ok()) {
-          adapt_commits_checkpointed_ = ap->stats().commits;
-          ++totals_.checkpoints_written;
-        } else {
-          ++totals_.checkpoint_failures;
-        }
+      if (model_->SaveCheckpoint(ModelPath()).ok()) {
+        adapt_commits_checkpointed_ = ap->stats().commits;
+        ++totals_.checkpoints_written;
+      } else {
+        ++totals_.checkpoint_failures;
       }
     }
     const Status adapt_saved = ap->SaveState(AdaptStatePath());

@@ -8,13 +8,11 @@
 #include <string>
 #include <vector>
 
-#include "baselines/forecaster.h"
+#include "baselines/neural.h"
 #include "common/bounded_queue.h"
 #include "common/result.h"
 #include "data/dataset.h"
-#include "serve/adaptive_predictor.h"
-#include "serve/online_predictor.h"
-#include "serve/resilient_predictor.h"
+#include "serve/stack.h"
 
 namespace ealgap {
 namespace serve {
@@ -72,7 +70,12 @@ struct WatchdogPolicy {
   int restart_ticks = 2;
 };
 
-struct ShardConfig {
+/// The stack options (`guard`, `resilience`, `adapt`) apply to every
+/// incarnation the shard builds. Daemons default the guard to impute with a
+/// generous max_gap_steps: steps lost while a shard was quarantined come
+/// back as a gap on the first post-restart observe, and the guard must
+/// absorb it instead of rejecting the feed forever.
+struct ShardConfig : StackOptions {
   std::string name = "shard";
   size_t queue_capacity = 128;
   /// Directory for this shard's CRC'd checkpoints (model + predictor
@@ -84,21 +87,16 @@ struct ShardConfig {
   /// nothing.
   int checkpoint_every_steps = 16;
   WatchdogPolicy watchdog;
-  /// Guard policy applied to every (re)created predictor. Daemons default
-  /// to impute with a generous max_gap_steps: steps lost while a shard was
-  /// quarantined come back as a gap on the first post-restart observe, and
-  /// the guard must absorb it instead of rejecting the feed forever.
-  GuardPolicy guard;
-  ResilienceOptions resilience;
 };
 
-/// Reloads a fitted model from a checkpoint path (the daemon tool passes
-/// core::LoadForecasterFromCheckpoint; serve cannot link core). When
-/// absent, restarts reuse the in-memory model object — parameters never
-/// change while serving, so this is behaviorally identical, it just
-/// skips rehearsing the model-file load path.
-using ModelReloader =
-    std::function<Result<std::unique_ptr<Forecaster>>(const std::string&)>;
+/// Reloads the fitted model from the shard's model checkpoint at a
+/// restart (the daemon tool passes core::LoadForecasterFromCheckpoint;
+/// serve cannot link core). Only consulted when state_dir is set. When
+/// absent, or when the reload fails, the restart keeps the in-memory model
+/// object, so only the model-file load path goes unrehearsed. Either way
+/// the restart builds a fresh stack (serve/stack.h) over the model.
+using ModelReloader = std::function<Result<std::unique_ptr<NeuralForecaster>>(
+    const std::string&)>;
 
 /// Per-shard lifetime counters, accumulated ACROSS restarts (the live
 /// predictor/chain counters die with each incarnation).
@@ -125,7 +123,7 @@ struct ShardTotals {
   AdaptStats adapt;
 };
 
-/// One serving shard: a ResilientPredictor chain over an OnlinePredictor,
+/// One serving shard: a serving Stack (serve/stack.h) over its own model,
 /// fed through a bounded MPSC queue, supervised by the daemon's watchdog,
 /// and restartable from its last CRC'd checkpoint. The shard owns its
 /// dataset slice — it doubles as the replay feed (the synthetic sensor)
@@ -141,7 +139,8 @@ class Shard {
   /// dataset's test_begin). Writes the initial checkpoint when state_dir
   /// is set. The dataset must outlive nothing — it is moved in.
   static Result<std::unique_ptr<Shard>> Create(
-      data::SlidingWindowDataset dataset, std::unique_ptr<Forecaster> model,
+      data::SlidingWindowDataset dataset,
+      std::unique_ptr<NeuralForecaster> model,
       int64_t serve_begin, ShardConfig config,
       ModelReloader reloader = nullptr);
 
@@ -191,8 +190,9 @@ class Shard {
   /// incarnation's counters into totals.
   void BeginQuarantine(int64_t now_tick, bool injected_crash);
 
-  /// Restores the shard from its last CRC'd checkpoint (or re-seeds from
-  /// the dataset when there is none / no state_dir) and enters probation.
+  /// Builds a fresh stack, restored from the last CRC'd checkpoint (or
+  /// re-seeded from the dataset when there is none / no state_dir), and
+  /// enters probation. Folds the dying incarnation's counters into totals.
   Status Restart();
 
   /// Writes the periodic predictor-state checkpoint when the cadence says
@@ -203,8 +203,8 @@ class Shard {
   /// weights) and the adapt state rides along on the same cadence.
   void MaybeCheckpoint();
 
-  /// Runs at most one deferred adaptation attempt (no-op unless the model
-  /// is an AdaptivePredictor and the shard is healthy). Called by the
+  /// Runs at most one deferred adaptation attempt (no-op unless the shard
+  /// adapts and is healthy). Called by the
   /// daemon's single-threaded supervisor phase, never during the serve
   /// fan-out.
   Result<AdaptEvent> MaybeAdapt();
@@ -212,13 +212,11 @@ class Shard {
   /// Lifetime totals + the live incarnation's counters folded together.
   ShardTotals Totals() const;
 
-  ResilientPredictor* resilient() { return resilient_.get(); }
-  OnlinePredictor* predictor() { return predictor_.get(); }
-  /// Non-null when serving through a test-time-adaptation wrapper. May be
-  /// replaced by a restart-from-checkpoint; do not hold across ticks.
-  AdaptivePredictor* adaptive() const {
-    return dynamic_cast<AdaptivePredictor*>(model_.get());
-  }
+  /// The live incarnation's layers; a restart replaces them, so do not
+  /// hold these across ticks.
+  OnlinePredictor* predictor() { return stack_.online.get(); }
+  /// Non-null iff config().adapt is set.
+  AdaptivePredictor* adaptive() const { return stack_.adaptive.get(); }
 
  private:
   Shard() = default;
@@ -229,21 +227,18 @@ class Shard {
     return config_.state_dir + "/adapt.state";
   }
 
-  /// Builds predictor+chain around `model_` from a fresh dataset seed.
-  Status SeedPredictor();
   /// Folds the live incarnation's adaptation and guard counters into
   /// `out` (totals_ at a restart, a copy of it for Totals()).
   void FoldIncarnation(ShardTotals* out) const;
 
   ShardConfig config_;
   data::SlidingWindowDataset dataset_;
-  std::unique_ptr<Forecaster> model_;
+  std::unique_ptr<NeuralForecaster> model_;
   ModelReloader reloader_;
   int64_t serve_begin_ = 0;
 
   std::unique_ptr<BoundedQueue<Request>> queue_;
-  std::unique_ptr<OnlinePredictor> predictor_;
-  std::unique_ptr<ResilientPredictor> resilient_;
+  Stack stack_;
 
   ShardHealth health_ = ShardHealth::kServing;
   int64_t restart_at_tick_ = -1;

@@ -7,18 +7,20 @@
 // Everything forwards to the real __libc_* entry points, so behavior is
 // unchanged — the hook only observes.
 //
-// Under AddressSanitizer the interposition is compiled out: ASan must own
-// malloc to do its job. alloc_guard_test detects the missing hook via
+// Under AddressSanitizer and ThreadSanitizer the interposition is compiled
+// out: both runtimes must own malloc (under TSan the hook crashes the
+// binary at start-up). alloc_guard_test detects the missing hook via
 // HookLinked() and skips the counting assertions while still running the
 // full replay, which turns the ASan build into a lifetime check of the
-// exact arena-rewind scenario (use-after-rewind would trip ASan).
+// exact arena-rewind scenario (use-after-rewind would trip ASan) and the
+// TSan build into a race check of the multi-threaded blocked replays.
 
 #include <cstddef>  // pulls in the libc feature macros (__GLIBC__)
 
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define EALGAP_ALLOC_HOOK_DISABLED 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
 #define EALGAP_ALLOC_HOOK_DISABLED 1
 #endif
 #endif

@@ -12,9 +12,11 @@
 //    heap allocations, counted by the malloc-interposition hook in
 //    alloc_count_hook.cc (linked only into this binary).
 //
-// Under sanitizers the hook is compiled out (ASan owns malloc); the
-// counting assertions skip, but the replays still run, which makes the
-// ASan build a lifetime check of the exact arena-rewind scenario.
+// Under ASan and TSan the hook is compiled out (the sanitizer owns
+// malloc); the counting assertions skip, but every replay still runs at
+// every thread count, which makes the ASan build a lifetime check of the
+// exact arena-rewind scenario and the TSan build a race check of the
+// pool-dispatched forward.
 
 #include <cmath>
 #include <cstdint>
@@ -260,16 +262,18 @@ TEST_F(AllocGuardServeTest, HealthySteadyStateServesWithZeroAllocations) {
     serve::ResilientPredictor served(&*predictor);
     const std::int64_t allocs = CountReplayAllocations(&served, 3, 240);
     EXPECT_FALSE(served.degradation().degraded());
-    if (!alloc_count::HookLinked()) {
-      SetNumThreads(saved_threads);
-      GTEST_SKIP() << "allocation hook not linked (sanitizer build)";
-    }
+    // Without the hook every thread count still replays (the sanitizers
+    // check it); only the count is skipped.
+    if (!alloc_count::HookLinked()) continue;
     EXPECT_EQ(allocs, 0)
         << "healthy serve loop hit the heap (threads=" << threads
         << "); arena high-water " << predictor->arena()->high_water_bytes()
         << " bytes";
   }
   SetNumThreads(saved_threads);
+  if (!alloc_count::HookLinked()) {
+    GTEST_SKIP() << "allocation hook not linked (sanitizer build)";
+  }
 }
 
 TEST_F(AllocGuardServeTest, DegradedSteadyStateServesWithZeroAllocations) {
@@ -335,15 +339,15 @@ TEST(AllocGuardBlockedServeTest, ThousandRegionStreamServesWithZeroAllocations) 
     }
     const std::int64_t allocs = counter.delta();
     EXPECT_EQ(out.source, serve::FallbackLevel::kFullModel);
-    if (!alloc_count::HookLinked()) {
-      SetNumThreads(saved_threads);
-      GTEST_SKIP() << "allocation hook not linked (sanitizer build)";
-    }
+    if (!alloc_count::HookLinked()) continue;
     EXPECT_EQ(allocs, 0) << "1000-region serve loop hit the heap (threads="
                          << threads << "); arena high-water "
                          << predictor->arena()->high_water_bytes() << " bytes";
   }
   SetNumThreads(saved_threads);
+  if (!alloc_count::HookLinked()) {
+    GTEST_SKIP() << "allocation hook not linked (sanitizer build)";
+  }
 }
 
 TEST_F(AllocGuardServeTest, ArenaRewindsToEmptyBetweenSteps) {

@@ -179,9 +179,8 @@ struct FleetOptions {
   int checkpoint_every_steps = 8;
   std::string state_root;  ///< empty => in-memory restarts
   bool with_reloader = false;
-  /// Serve every shard through the test-time-adaptation wrapper; the
-  /// reloader (when on) re-wraps reloaded checkpoints the same way, like
-  /// the daemon tool.
+  /// Serve every shard through the test-time-adaptation layer; every
+  /// restart builds a fresh one, like the daemon tool.
   bool adapt = false;
   /// When set, counts the reloader's successful reloads.
   int* reloads = nullptr;
@@ -243,36 +242,19 @@ std::unique_ptr<serve::Daemon> MakeFleet(const FleetOptions& opt) {
     config.guard.on_bad_value = serve::RepairPolicy::kImpute;
     config.guard.on_gap = serve::RepairPolicy::kImpute;
     config.guard.max_gap_steps = 4096;
-    std::unique_ptr<Forecaster> serving_model;
-    if (opt.adapt) {
-      auto adaptive =
-          serve::AdaptivePredictor::Create(std::move(model), opt.aopt);
-      EXPECT_TRUE(adaptive.ok()) << adaptive.status().ToString();
-      serving_model = std::move(adaptive).value();
-    } else {
-      serving_model = std::move(model);
-    }
+    if (opt.adapt) config.adapt = opt.aopt;
     serve::ModelReloader reloader = nullptr;
     if (opt.with_reloader) {
-      reloader = [adapt = opt.adapt, aopt = opt.aopt,
-                  reloads = opt.reloads](const std::string& path)
-          -> Result<std::unique_ptr<Forecaster>> {
+      reloader = [reloads = opt.reloads](const std::string& path)
+          -> Result<std::unique_ptr<NeuralForecaster>> {
         EALGAP_ASSIGN_OR_RETURN(std::unique_ptr<NeuralForecaster> loaded,
                                 core::LoadForecasterFromCheckpoint(path));
-        std::unique_ptr<Forecaster> model;
-        if (adapt) {
-          EALGAP_ASSIGN_OR_RETURN(
-              model, serve::AdaptivePredictor::Create(std::move(loaded), aopt));
-        } else {
-          model = std::move(loaded);
-        }
         if (reloads != nullptr) ++*reloads;
-        return model;
+        return loaded;
       };
     }
-    auto shard =
-        serve::Shard::Create(std::move(*dataset), std::move(serving_model),
-                             split->test_begin, config, reloader);
+    auto shard = serve::Shard::Create(std::move(*dataset), std::move(model),
+                                      split->test_begin, config, reloader);
     EXPECT_TRUE(shard.ok()) << shard.status().ToString();
     daemon->AddShard(std::move(shard).value());
   }
@@ -659,8 +641,89 @@ TEST(DaemonAdaptTest, FreezeTripsAndProbeRecovers) {
   }
 }
 
+/// The counters a restart must carry over unchanged: adaptation, guard
+/// repairs and served/observed attribution.
+void ExpectSameCounts(const serve::ShardTotals& before,
+                      const serve::ShardTotals& after) {
+  EXPECT_EQ(after.adapt.steps, before.adapt.steps);
+  EXPECT_EQ(after.adapt.observed, before.adapt.observed);
+  EXPECT_EQ(after.adapt.triggers, before.adapt.triggers);
+  EXPECT_EQ(after.adapt.attempts, before.adapt.attempts);
+  EXPECT_EQ(after.adapt.commits, before.adapt.commits);
+  EXPECT_EQ(after.adapt.Rollbacks(), before.adapt.Rollbacks());
+  EXPECT_EQ(after.adapt.pairs, before.adapt.pairs);
+  EXPECT_EQ(after.adapt.values, before.adapt.values);
+  EXPECT_EQ(after.adapt.truth_sum, before.adapt.truth_sum);
+  EXPECT_EQ(after.adapt.adapted_abs_err, before.adapt.adapted_abs_err);
+  EXPECT_EQ(after.adapt.frozen_abs_err, before.adapt.frozen_abs_err);
+  EXPECT_EQ(after.repaired_values, before.repaired_values);
+  EXPECT_EQ(after.gap_steps_filled, before.gap_steps_filled);
+  EXPECT_EQ(after.quarantine_by_region, before.quarantine_by_region);
+  EXPECT_EQ(after.observes_applied, before.observes_applied);
+  EXPECT_EQ(after.observes_rejected, before.observes_rejected);
+  EXPECT_EQ(after.predicts_model, before.predicts_model);
+  EXPECT_EQ(after.predicts_degraded, before.predicts_degraded);
+  EXPECT_EQ(after.served_by_level, before.served_by_level);
+}
+
+// A restart moves the dying incarnation's counters into the shard's
+// totals; it never adds to them. For both restart paths (in memory, and
+// from a checkpoint through the reloader) with adaptation off and on,
+// Totals() reads the same before and after the restart, and the live
+// adaptive layer is a fresh incarnation. An in-memory restart that kept
+// the old adaptive layer would count its steps twice.
+TEST(DaemonAdaptTest, RestartKeepsTotalsAndStartsAFreshAdaptiveLayer) {
+  fault::ScopedFaults off("");
+  constexpr int kSteps = 24;
+  for (const bool checkpoint : {false, true}) {
+    for (const bool adapt : {false, true}) {
+      SCOPED_TRACE(std::string(checkpoint ? "checkpoint" : "in-memory") +
+                   (adapt ? ", adapt on" : ", adapt off"));
+      FleetOptions opt;
+      opt.shards = 1;
+      opt.adapt = adapt;
+      opt.aopt = HotAdaptOptions();
+      if (checkpoint) {
+        opt.state_root = ::testing::TempDir() + "/daemon_restart_totals_" +
+                         (adapt ? "adapt" : "plain");
+        opt.with_reloader = true;
+      }
+      auto daemon = MakeFleet(opt);
+      serve::Shard& shard = *daemon->shard(0);
+      for (int i = 0; i < kSteps; ++i) {
+        serve::Request observe;
+        observe.kind = serve::RequestKind::kObserve;
+        // Every fourth step the feed skips one, so the impute guard fills
+        // a gap and the guard counters are not all zero.
+        if (i % 4 == 3) shard.TakeFeedStep();
+        observe.feed_step = shard.TakeFeedStep();
+        shard.ApplyObserve(observe);
+        ASSERT_TRUE(shard.ServePredictStep(0.0));
+        shard.NoteServedStep();
+        ASSERT_TRUE(shard.MaybeAdapt().ok());
+      }
+      const serve::ShardTotals before = shard.Totals();
+      EXPECT_EQ(before.adapt.steps, adapt ? kSteps : 0);
+      EXPECT_GT(before.gap_steps_filled, 0);
+
+      shard.BeginQuarantine(/*now_tick=*/0, /*injected_crash=*/false);
+      ASSERT_TRUE(shard.Restart().ok());
+      const serve::ShardTotals after = shard.Totals();
+      EXPECT_EQ(after.restarts, 1);
+      EXPECT_EQ(after.restarts_from_checkpoint, checkpoint ? 1 : 0);
+      ExpectSameCounts(before, after);
+      if (adapt) {
+        ASSERT_NE(shard.adaptive(), nullptr);
+        EXPECT_EQ(shard.adaptive()->stats().steps, 0);
+      } else {
+        EXPECT_EQ(shard.adaptive(), nullptr);
+      }
+    }
+  }
+}
+
 // The adaptation chaos soak: every adapt fault plus shard crashes, over a
-// checkpointing fleet whose reloader re-wraps restarts. No crash, every
+// checkpointing fleet whose restarts reload the model. No crash, every
 // attempt attributed to a commit or exactly one rollback kind, and the
 // A/B harness keeps scoring across restarts.
 TEST(DaemonAdaptTest, AdaptFaultSoakAttributesEveryAttempt) {
@@ -689,8 +752,9 @@ TEST(DaemonAdaptTest, AdaptFaultSoakAttributesEveryAttempt) {
   EXPECT_GT(report.adapt.pairs, 0);
   ExpectFullyAttributed(report);
   ExpectAdaptAttributed(report.adapt);
-  // Every restart went through the reloader, which re-wrapped the
-  // reloaded checkpoint, so restarted shards keep adapting.
+  // Every restart went through the reloader, and every restart built a
+  // fresh adaptive layer over the reloaded model, so restarted shards keep
+  // adapting.
   EXPECT_EQ(reloads, report.restarts);
   for (int s = 0; s < daemon->num_shards(); ++s) {
     EXPECT_NE(daemon->shard(s)->adaptive(), nullptr) << "shard " << s;

@@ -8,6 +8,7 @@
 // under the batched PredictMany entry point.
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -21,6 +22,8 @@
 #include "core/rollout.h"
 #include "data/dataset.h"
 #include "serve/online_predictor.h"
+#include "serve/resilient_predictor.h"
+#include "serve/stack.h"
 #include "tests/record_test_util.h"
 
 namespace ealgap {
@@ -438,6 +441,76 @@ TEST_F(ServeParityTest, OneByteChangeInAValidFieldIsRejectedNamingTheSection) {
   EXPECT_NE(restored.status().message().find("section 'stream' CRC mismatch"),
             std::string::npos)
       << restored.status().ToString();
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The end-to-end benchmark's stream workload wires its serving pair by hand
+// (OnlinePredictor::Create, then a default ResilientPredictor, one warm-up
+// step, then observe/predict). A BuildStack stack with adaptation off must
+// serve the same bytes at every step, so the benchmark measures the stack
+// production builds.
+TEST_F(ServeParityTest, BuiltStackMatchesTheHandWiredPairBitExact) {
+  auto online = OnlinePredictor::Create(model_, *dataset_, split_->test_begin);
+  ASSERT_TRUE(online.ok()) << online.status().ToString();
+  serve::ResilientPredictor resilient(&*online);
+  auto stack = serve::BuildStack(model_, serve::StackOptions{}, *dataset_,
+                                 split_->test_begin);
+  ASSERT_TRUE(stack.ok()) << stack.status().ToString();
+  EXPECT_FALSE(stack->restored);
+  EXPECT_EQ(stack->adaptive, nullptr);
+
+  serve::ServedPrediction hand, built;
+  ASSERT_TRUE(resilient.PredictNextInto(&hand).ok());
+  ASSERT_TRUE(stack->resilient->PredictNextInto(&built).ok());
+  ASSERT_TRUE(SameBits(hand.values, built.values)) << "warm-up step";
+  int64_t checked = 0;
+  for (int64_t step = split_->test_begin; step + 1 < split_->test_end;
+       ++step) {
+    const std::vector<double> truth = StepTruth(*dataset_, step);
+    ASSERT_TRUE(resilient.Observe(truth).ok());
+    ASSERT_TRUE(stack->resilient->Observe(truth).ok());
+    ASSERT_TRUE(resilient.PredictNextInto(&hand).ok());
+    ASSERT_TRUE(stack->resilient->PredictNextInto(&built).ok());
+    ASSERT_TRUE(SameBits(hand.values, built.values)) << "step " << step + 1;
+    ASSERT_EQ(hand.source, built.source) << "step " << step + 1;
+    ++checked;
+  }
+  EXPECT_GE(checked, 200) << "replay too short to be meaningful";
+}
+
+// BuildStack restores from a state file when it loads, and seeds from the
+// dataset when it does not; either way it says which it did.
+TEST_F(ServeParityTest, BuiltStackRestoresFromStateOrSeeds) {
+  const std::string state = ::testing::TempDir() + "/stack_serve.state";
+  auto live = serve::BuildStack(model_, serve::StackOptions{}, *dataset_,
+                                split_->test_begin);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  for (int64_t step = split_->test_begin; step < split_->test_begin + 30;
+       ++step) {
+    ASSERT_TRUE(live->resilient->Observe(StepTruth(*dataset_, step)).ok());
+  }
+  ASSERT_TRUE(live->online->SaveState(state).ok());
+
+  auto restored = serve::BuildStack(model_, serve::StackOptions{}, *dataset_,
+                                    split_->test_begin, state);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(restored->restored);
+  ASSERT_EQ(restored->online->next_step(), live->online->next_step());
+  serve::ServedPrediction a, b;
+  ASSERT_TRUE(live->resilient->PredictNextInto(&a).ok());
+  ASSERT_TRUE(restored->resilient->PredictNextInto(&b).ok());
+  EXPECT_TRUE(SameBits(a.values, b.values));
+
+  auto seeded = serve::BuildStack(model_, serve::StackOptions{}, *dataset_,
+                                  split_->test_begin,
+                                  ::testing::TempDir() + "/no_such.state");
+  ASSERT_TRUE(seeded.ok()) << seeded.status().ToString();
+  EXPECT_FALSE(seeded->restored);
+  EXPECT_EQ(seeded->online->next_step(), split_->test_begin);
 }
 
 TEST_F(ServeParityTest, CreateRejectsBadArgumentsAndModels) {

@@ -110,10 +110,8 @@
 #include "data/partition.h"
 #include "data/synthetic_city.h"
 #include "data/trip.h"
-#include "serve/adaptive_predictor.h"
 #include "serve/daemon.h"
-#include "serve/online_predictor.h"
-#include "serve/resilient_predictor.h"
+#include "serve/stack.h"
 #include "stats/metrics.h"
 
 namespace {
@@ -501,45 +499,31 @@ int Serve(const Flags& flags) {
   auto model = core::LoadForecasterFromCheckpoint(ckpt);
   if (!model.ok()) return Fail(model.status());
 
+  auto repair = serve::ParseRepairPolicy(flags.GetString("repair", "reject"));
+  if (!repair.ok()) return Fail(repair.status());
+  serve::StackOptions options;
+  options.guard.on_bad_value = *repair;
+  options.guard.on_gap = *repair;
+  options.resilience.deadline_ms = flags.GetDouble("deadline-ms", 0.0);
+  options.resilience.recovery_successes =
+      static_cast<int>(flags.GetInt("recovery", 3));
   // --adapt: test-time adaptation between the predictor and the model.
   // The replay loop runs MaybeAdapt after every observe — outside the
   // timed predict path, like the daemon's supervisor phase.
-  Forecaster* serving = model->get();
-  std::unique_ptr<serve::AdaptivePredictor> adaptive;
-  if (flags.GetBool("adapt")) {
-    auto a = serve::AdaptivePredictor::Create(model->get(),
-                                              AdaptOptionsFromFlags(flags));
-    if (!a.ok()) return Fail(a.status());
-    adaptive = std::move(a).value();
-    serving = adaptive.get();
-  }
-
-  auto predictor = serve::OnlinePredictor::Create(
-      serving, prepared.dataset, prepared.split.test_begin);
-  if (!predictor.ok()) return Fail(predictor.status());
-
-  auto repair = serve::ParseRepairPolicy(flags.GetString("repair", "reject"));
-  if (!repair.ok()) return Fail(repair.status());
-  serve::GuardPolicy guard;
-  guard.on_bad_value = *repair;
-  guard.on_gap = *repair;
-  predictor->SetGuardPolicy(guard);
-
-  serve::ResilienceOptions resilience;
-  resilience.deadline_ms = flags.GetDouble("deadline-ms", 0.0);
-  resilience.recovery_successes =
-      static_cast<int>(flags.GetInt("recovery", 3));
-  serve::ResilientPredictor resilient(&*predictor, resilience);
+  if (flags.GetBool("adapt")) options.adapt = AdaptOptionsFromFlags(flags);
+  auto stack = serve::BuildStack(model->get(), options, prepared.dataset,
+                                 prepared.split.test_begin);
+  if (!stack.ok()) return Fail(stack.status());
 
   // Replay the test range as a live feed: predict the next step through
   // the degradation chain, then observe the realized counts.
-  const int n = predictor->num_regions();
+  const int n = stack->online->num_regions();
   std::vector<double> pred, truth;
   std::vector<double> latency_ms;
   for (int64_t step = prepared.split.test_begin;
        step < prepared.split.test_end; ++step) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto row = resilient.PredictNext();
+    auto row = stack->resilient->PredictNext();
     const auto t1 = std::chrono::steady_clock::now();
     if (!row.ok()) return Fail(row.status());
     latency_ms.push_back(
@@ -550,10 +534,10 @@ int Serve(const Flags& flags) {
       pred.push_back(row->values[r]);
       truth.push_back(observed[r]);
     }
-    Status obs = resilient.Observe(observed);
+    Status obs = stack->resilient->Observe(observed);
     if (!obs.ok()) return Fail(obs);
-    if (adaptive != nullptr) {
-      auto event = adaptive->MaybeAdapt();
+    if (stack->adaptive != nullptr) {
+      auto event = stack->adaptive->MaybeAdapt();
       if (!event.ok()) return Fail(event.status());
     }
   }
@@ -578,7 +562,7 @@ int Serve(const Flags& flags) {
   lat.Print(std::cout);
 
   // Degradation report: how many steps fell back, why, and to what.
-  const serve::DegradationState& deg = resilient.degradation();
+  const serve::DegradationState& deg = stack->resilient->degradation();
   TablePrinter dt("degraded steps (" + std::to_string(deg.degraded_steps) +
                       " of " + std::to_string(deg.total_steps) + ")",
                   {"non-finite", "model-error", "deadline", "probation"});
@@ -599,9 +583,9 @@ int Serve(const Flags& flags) {
              level_count(serve::FallbackLevel::kRecentMean),
              level_count(serve::FallbackLevel::kPersistence)});
   ft.Print(std::cout);
-  const serve::GuardStats& gs = predictor->guard_stats();
+  const serve::GuardStats& gs = stack->online->guard_stats();
   TablePrinter gt("input guards (policy " +
-                      std::string(serve::RepairPolicyName(guard.on_bad_value)) +
+                      std::string(serve::RepairPolicyName(*repair)) +
                       ")",
                   {"repaired-values", "repaired-steps", "gap-steps",
                    "rejected"});
@@ -612,7 +596,7 @@ int Serve(const Flags& flags) {
   gt.Print(std::cout);
   std::vector<int64_t> quarantine(gs.quarantine.begin(), gs.quarantine.end());
   PrintRegionQuarantines(quarantine);
-  if (adaptive != nullptr) return PrintAdaptStats(adaptive->stats());
+  if (stack->adaptive) return PrintAdaptStats(stack->adaptive->stats());
   return 0;
 }
 
@@ -647,8 +631,23 @@ int Daemon(const Flags& flags) {
       flags.GetDouble("model-deadline-ms", 50.0);
   serve::Daemon daemon(daemon_config);
 
-  const bool adapt_enabled = flags.GetBool("adapt");
-  const serve::AdaptOptions aopt = AdaptOptionsFromFlags(flags);
+  // Every shard shares one config but for its name and state dir.
+  serve::ShardConfig base_config;
+  base_config.queue_capacity =
+      static_cast<size_t>(flags.GetInt("queue-capacity", 128));
+  base_config.checkpoint_every_steps =
+      static_cast<int>(flags.GetInt("checkpoint-every", 16));
+  // Steps lost while a shard is quarantined come back as a feed gap on its
+  // first post-restart observe; impute-with-generous-window absorbs them
+  // instead of rejecting the feed forever.
+  base_config.guard.on_bad_value = serve::RepairPolicy::kImpute;
+  base_config.guard.on_gap = serve::RepairPolicy::kImpute;
+  base_config.guard.max_gap_steps = 4096;
+  base_config.resilience.recovery_successes =
+      static_cast<int>(flags.GetInt("recovery", 3));
+  // --adapt: each shard serves through its own adaptation layer; every
+  // restart builds a fresh one over the (reloaded) model.
+  if (flags.GetBool("adapt")) base_config.adapt = AdaptOptionsFromFlags(flags);
 
   const std::string state_dir = flags.GetString("state-dir", "");
   for (int s = 0; s < shards; ++s) {
@@ -672,48 +671,14 @@ int Daemon(const Flags& flags) {
     Status fit = model->Fit(*dataset, *split, train);
     if (!fit.ok()) return Fail(fit);
 
-    serve::ShardConfig shard_config;
+    serve::ShardConfig shard_config = base_config;
     shard_config.name = "shard" + std::to_string(s);
-    shard_config.queue_capacity =
-        static_cast<size_t>(flags.GetInt("queue-capacity", 128));
-    shard_config.checkpoint_every_steps =
-        static_cast<int>(flags.GetInt("checkpoint-every", 16));
     if (!state_dir.empty()) {
       shard_config.state_dir = state_dir + "/" + shard_config.name;
     }
-    // Steps lost while a shard is quarantined come back as a feed gap on
-    // its first post-restart observe; impute-with-generous-window absorbs
-    // them instead of rejecting the feed forever.
-    shard_config.guard.on_bad_value = serve::RepairPolicy::kImpute;
-    shard_config.guard.on_gap = serve::RepairPolicy::kImpute;
-    shard_config.guard.max_gap_steps = 4096;
-    shard_config.resilience.recovery_successes =
-        static_cast<int>(flags.GetInt("recovery", 3));
-    // --adapt: each shard serves through its own adaptation wrapper.
-    // Restarts-from-checkpoint reload the model and wrap it the same way,
-    // so a restarted shard resumes adapting from the reloaded (possibly
-    // adapted) weights.
-    std::unique_ptr<Forecaster> serving_model;
-    if (adapt_enabled) {
-      auto adaptive = serve::AdaptivePredictor::Create(std::move(model), aopt);
-      if (!adaptive.ok()) return Fail(adaptive.status());
-      serving_model = std::move(adaptive).value();
-    } else {
-      serving_model = std::move(model);
-    }
-    serve::ModelReloader reloader = [adapt_enabled, aopt](
-        const std::string& path) -> Result<std::unique_ptr<Forecaster>> {
-      EALGAP_ASSIGN_OR_RETURN(std::unique_ptr<NeuralForecaster> loaded,
-                              core::LoadForecasterFromCheckpoint(path));
-      if (!adapt_enabled) return std::unique_ptr<Forecaster>(std::move(loaded));
-      std::unique_ptr<Forecaster> wrapped;
-      EALGAP_ASSIGN_OR_RETURN(
-          wrapped, serve::AdaptivePredictor::Create(std::move(loaded), aopt));
-      return wrapped;
-    };
-    auto shard = serve::Shard::Create(
-        std::move(*dataset), std::move(serving_model), split->test_begin,
-        shard_config, std::move(reloader));
+    auto shard = serve::Shard::Create(std::move(*dataset), std::move(model),
+                                      split->test_begin, shard_config,
+                                      core::LoadForecasterFromCheckpoint);
     if (!shard.ok()) return Fail(shard.status());
     daemon.AddShard(std::move(shard).value());
   }
@@ -819,7 +784,7 @@ int Daemon(const Flags& flags) {
   PrintRegionQuarantines(fleet_quarantine);
 
   int adapt_rc = 0;
-  if (adapt_enabled) adapt_rc = PrintAdaptStats(report.adapt);
+  if (base_config.adapt) adapt_rc = PrintAdaptStats(report.adapt);
 
   std::cout << "replay digest: " << Crc32Hex(daemon.digest()) << "\n";
   const int64_t bad_predicts = report.UnattributedPredicts();
