@@ -105,14 +105,17 @@ fi
 echo "unknown flags: serve --quant rejected with exit 2"
 
 echo "===== chaos stage: fault-armed daemon soak ====="
-# A short soak of the sharded serving daemon with the overload and crash
-# sites armed on top of the load generator's own burst phases: queues
-# fill, shards die mid-serve and restart from their checkpoints. The tool
-# exits 3 (naming the counter that leaked) if any request or degraded
-# step ends the run unattributed, so this stage's exit 0 IS the
-# zero-unattributed assertion. The replay-digest line in the output is
-# the hook for debugging a failure by re-running the same seeds.
-EALGAP_FAULTS="daemon.queue.full:p=0.05:seed=11,daemon.shard.crash:p=0.01:seed=13" \
+# A short soak of the sharded serving daemon with the overload, crash and
+# stall sites armed on top of the load generator's own burst phases:
+# queues fill, shards die mid-serve and restart from their checkpoints.
+# The stall clause stalls every shard for four straight ticks around tick
+# 50, so each trips the watchdog's stall limit and takes the
+# stall -> quarantine -> restart path. The tool exits 3 (naming the
+# counter that leaked) if any request or degraded step ends the run
+# unattributed, so this stage's exit 0 IS the zero-unattributed
+# assertion. The replay-digest line in the output is the hook for
+# debugging a failure by re-running the same seeds.
+EALGAP_FAULTS="daemon.queue.full:p=0.05:seed=11,daemon.shard.crash:p=0.01:seed=13,daemon.shard.stall:every=1:after=150:max=12" \
   "$TOOL" daemon --shards 3 --ticks 200 --days 40 --epochs 0 \
   --state-dir "$RESUME_TMP/daemon_state" | tail -n 2
 echo "daemon soak: fault-armed run exited clean with full attribution"

@@ -131,6 +131,8 @@ struct AdaptStats {
   /// max/last fields take the newer incarnation's values when it saw any
   /// activity, sticky state is OR'd).
   void Accumulate(const AdaptStats& other);
+
+  bool operator==(const AdaptStats&) const = default;
 };
 
 /// Test-time adaptation layer for the serving chain. Implements Forecaster

@@ -20,15 +20,6 @@ double WallMsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double pos = p * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
 }  // namespace
 
 Daemon::Daemon(DaemonConfig config) : config_(config) {
@@ -87,8 +78,6 @@ void Daemon::DrainQueueAsShed(int shard_index, RejectCause cause) {
 void Daemon::Quarantine(int shard_index, bool injected_crash) {
   Shard& sh = *shards_[static_cast<size_t>(shard_index)];
   sh.BeginQuarantine(tick_, injected_crash);
-  ++stats_.watchdog_quarantines;
-  if (injected_crash) ++stats_.crashes_injected;
   // A fenced shard answers nothing: everything queued is shed, attributed.
   DrainQueueAsShed(shard_index, RejectCause::kQuarantined);
   DigestAdd(0xC0000000ull);
@@ -120,11 +109,7 @@ void Daemon::Tick(const std::vector<int>& predict_arrivals) {
     Shard& sh = *shards_[static_cast<size_t>(s)];
     if (sh.health() == ShardHealth::kQuarantined &&
         sh.restart_at_tick() <= tick_) {
-      const int64_t from_ckpt_before = sh.Totals().restarts_from_checkpoint;
       if (sh.Restart().ok()) {
-        ++stats_.restarts;
-        stats_.restarts_from_checkpoint +=
-            sh.Totals().restarts_from_checkpoint - from_ckpt_before;
         DigestAdd(0xBE000000ull);
         DigestAdd(static_cast<uint64_t>(s));
       } else {
@@ -132,7 +117,6 @@ void Daemon::Tick(const std::vector<int>& predict_arrivals) {
         // immutable dataset, so this is near-impossible) — stay fenced,
         // retry next tick.
         sh.BeginQuarantine(tick_, /*injected_crash=*/false);
-        ++stats_.watchdog_quarantines;
       }
     }
     if (sh.health() != ShardHealth::kQuarantined &&
@@ -142,7 +126,6 @@ void Daemon::Tick(const std::vector<int>& predict_arrivals) {
     const bool stalled = sh.health() != ShardHealth::kQuarantined &&
                          EALGAP_FAULT("daemon.shard.stall");
     stalled_[static_cast<size_t>(s)] = stalled ? 1 : 0;
-    if (stalled) ++stats_.stall_ticks_injected;
   }
 
   // --- ingest: the feed Observe first, then this tick's Predict arrivals,
@@ -259,6 +242,7 @@ void Daemon::Tick(const std::vector<int>& predict_arrivals) {
       continue;
     }
     if (has_live_[i]) DigestAddValues(sh.last_served().values);
+    int64_t answered = 0;
     for (const Request& req : reqs) {
       const bool expired = req.deadline_tick >= 0 && req.deadline_tick < tick_;
       if (expired) {
@@ -277,12 +261,12 @@ void Daemon::Tick(const std::vector<int>& predict_arrivals) {
         ++stats_.served_degraded;
         ++stats_.degraded_by_cause[static_cast<int>(served.cause)];
       }
-      ++stats_.served_by_level[static_cast<int>(served.source)];
-      latency_ms_.push_back(serve_ms_[i]);
+      ++answered;
       DigestAdd(0x5E000000ull | static_cast<uint64_t>(served.source));
       DigestAdd(static_cast<uint64_t>(served.cause));
       DigestAdd(static_cast<uint64_t>(req.id));
     }
+    if (answered > 0) step_latency_ms_.push_back({serve_ms_[i], answered});
     reqs.clear();
     // The coalesced pass is ONE served step for the watchdog no matter how
     // many requests it answered. Quarantining here (after attribution)
@@ -345,19 +329,20 @@ SloReport Daemon::Run(LoadGen* gen, int64_t ticks) {
 SloReport Daemon::Report() const {
   SloReport out = stats_;
 
-  // Observe application/rejection and checkpoint outcomes live with the
-  // shards (they survive restarts there); fold them in.
-  out.observes_applied = 0;
-  out.observes_guard_rejected = 0;
-  out.checkpoints_written = 0;
-  out.checkpoint_failures = 0;
+  // Everything the shards and their layers count survives restarts in the
+  // shard totals; fold it in.
   for (const auto& shard : shards_) {
     const ShardTotals t = shard->Totals();
     out.observes_applied += t.observes_applied;
-    out.observes_guard_rejected += t.observes_rejected;
+    out.observes_guard_rejected += t.guard.rejected_observations;
+    out.adapt.Accumulate(t.adapt);
+    out.crashes_injected += t.crashes;
+    out.stall_ticks_injected += t.stall_ticks;
+    out.watchdog_quarantines += t.quarantines;
+    out.restarts += t.restarts;
+    out.restarts_from_checkpoint += t.restarts_from_checkpoint;
     out.checkpoints_written += t.checkpoints_written;
     out.checkpoint_failures += t.checkpoint_failures;
-    out.adapt.Accumulate(t.adapt);
   }
 
   // Queue occupancy is tracked independently (counted at push/pop on the
@@ -366,14 +351,18 @@ SloReport Daemon::Report() const {
   out.queued_predict = inq_predict_;
   out.queued_observe = inq_observe_;
 
-  std::vector<double> sorted = latency_ms_;
-  std::sort(sorted.begin(), sorted.end());
-  double sum = 0.0;
-  for (double v : sorted) sum += v;
-  out.mean_ms = sorted.empty() ? 0.0 : sum / static_cast<double>(sorted.size());
-  out.p50_ms = Percentile(sorted, 0.50);
-  out.p95_ms = Percentile(sorted, 0.95);
-  out.p99_ms = Percentile(sorted, 0.99);
+  if (!step_latency_ms_.empty()) {
+    double sum = 0.0;
+    int64_t requests = 0;
+    for (const stats::WeightedValue& step : step_latency_ms_) {
+      sum += step.value * static_cast<double>(step.weight);
+      requests += step.weight;
+    }
+    out.mean_ms = sum / static_cast<double>(requests);
+    out.p50_ms = stats::WeightedQuantile(step_latency_ms_, 0.50);
+    out.p95_ms = stats::WeightedQuantile(step_latency_ms_, 0.95);
+    out.p99_ms = stats::WeightedQuantile(step_latency_ms_, 0.99);
+  }
   out.wall_seconds = wall_seconds_;
   const double answered = static_cast<double>(
       out.served_model + out.served_degraded + out.expired_fallback);

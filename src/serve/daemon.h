@@ -8,6 +8,7 @@
 
 #include "serve/load_gen.h"
 #include "serve/shard.h"
+#include "stats/descriptive.h"
 
 namespace ealgap {
 namespace serve {
@@ -48,7 +49,6 @@ struct SloReport {
   int64_t shed_quarantine_predict = 0;
   int64_t queued_predict = 0;  ///< still in queues at report time
   std::array<int64_t, kNumDegradeCauses> degraded_by_cause{};
-  std::array<int64_t, kNumFallbackLevels> served_by_level{};
 
   // Observe requests.
   int64_t observe_requests = 0;
@@ -64,7 +64,7 @@ struct SloReport {
   /// with the request law: adapt.UnattributedAdaptations() must be zero.
   AdaptStats adapt;
 
-  // Supervisor.
+  // Supervisor: folded from every shard's totals.
   int64_t crashes_injected = 0;
   int64_t stall_ticks_injected = 0;
   int64_t watchdog_quarantines = 0;
@@ -74,6 +74,8 @@ struct SloReport {
   int64_t checkpoint_failures = 0;
 
   // Wall-clock telemetry (reported, never part of the replay digest).
+  // Latency is per answered request: a coalesced step's wall time counts
+  // once for every request it answered.
   double mean_ms = 0.0, p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
   double wall_seconds = 0.0;
   double throughput_rps = 0.0;  ///< predict answers per wall second
@@ -170,8 +172,12 @@ class Daemon {
   int64_t inq_predict_ = 0;
   int64_t inq_observe_ = 0;
 
-  SloReport stats_;  ///< running counters (queue/latency fields unset)
-  std::vector<double> latency_ms_;
+  /// Running request-level counters. Observe, supervisor, checkpoint and
+  /// adaptation fields stay unset: Report() folds them from the shards.
+  SloReport stats_;
+  /// One entry per served shard-step: its wall time, weighted by the
+  /// requests it answered.
+  std::vector<stats::WeightedValue> step_latency_ms_;
   double wall_seconds_ = 0.0;
 
   // Per-tick scratch, reused.

@@ -34,6 +34,17 @@ const char* RepairPolicyName(RepairPolicy policy) {
   return "unknown";
 }
 
+void GuardStats::Accumulate(const GuardStats& other) {
+  repaired_values += other.repaired_values;
+  repaired_steps += other.repaired_steps;
+  gap_steps_filled += other.gap_steps_filled;
+  rejected_observations += other.rejected_observations;
+  quarantine.resize(std::max(quarantine.size(), other.quarantine.size()), 0);
+  for (size_t r = 0; r < other.quarantine.size(); ++r) {
+    quarantine[r] += other.quarantine[r];
+  }
+}
+
 bool OnlinePredictor::IsWeekendStep(int64_t s) const {
   return IsWeekend(AddDays(start_date_, s / steps_per_day_));
 }

@@ -50,6 +50,12 @@ struct GuardStats {
   /// Per-region quarantine counters: how many times each region's value
   /// needed repair. A hot region here means a sensor needs attention.
   std::vector<int64_t> quarantine;
+
+  /// Folds another incarnation's counters in (shard restart accounting);
+  /// `quarantine` grows to the longer of the two.
+  void Accumulate(const GuardStats& other);
+
+  bool operator==(const GuardStats&) const = default;
 };
 
 /// Streaming next-step prediction around a fitted Forecaster.

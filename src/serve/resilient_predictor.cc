@@ -38,6 +38,13 @@ const char* DegradeCauseName(DegradeCause cause) {
   return "unknown";
 }
 
+void DegradationState::Accumulate(const DegradationState& other) {
+  total_steps += other.total_steps;
+  degraded_steps += other.degraded_steps;
+  for (int c = 0; c < kNumDegradeCauses; ++c) by_cause[c] += other.by_cause[c];
+  for (int l = 0; l < kNumFallbackLevels; ++l) by_level[l] += other.by_level[l];
+}
+
 ResilientPredictor::ResilientPredictor(OnlinePredictor* inner,
                                        ResilienceOptions options)
     : inner_(inner), options_(options) {}

@@ -58,6 +58,12 @@ struct DegradationState {
   std::array<int64_t, kNumFallbackLevels> by_level{};
 
   bool degraded() const { return level != FallbackLevel::kFullModel; }
+
+  /// Adds another incarnation's counters (shard restart accounting). The
+  /// live posture (level, last_cause, consecutive_healthy) is left as is.
+  void Accumulate(const DegradationState& other);
+
+  bool operator==(const DegradationState&) const = default;
 };
 
 /// One served prediction with its provenance.

@@ -83,13 +83,11 @@ const std::vector<double>& Shard::FeedCounts(int64_t step) {
 void Shard::ApplyObserve(const Request& request) {
   const std::vector<double>& counts = FeedCounts(request.feed_step);
   const Status st = stack_.resilient->ObserveAt(request.feed_step, counts);
+  // A guard rejection (stale step, oversized gap, ...) is counted by the
+  // guard and survivable: the feed keeps flowing, the loop keeps serving.
   if (st.ok()) {
     ++totals_.observes_applied;
     ++observes_since_checkpoint_;
-  } else {
-    // Guard rejection (stale step, oversized gap, ...): attributed and
-    // survivable — the feed keeps flowing, the loop keeps serving.
-    ++totals_.observes_rejected;
   }
 }
 
@@ -109,13 +107,6 @@ bool Shard::NoteServedStep() {
   const bool model_failure = served.cause == DegradeCause::kNonFinite ||
                              served.cause == DegradeCause::kModelError ||
                              served.cause == DegradeCause::kDeadline;
-  if (degraded) {
-    ++totals_.predicts_degraded;
-    ++totals_.degraded_by_cause[static_cast<int>(served.cause)];
-  } else {
-    ++totals_.predicts_model;
-  }
-  ++totals_.served_by_level[static_cast<int>(served.source)];
 
   consecutive_model_failures_ =
       model_failure ? consecutive_model_failures_ + 1 : 0;
@@ -149,21 +140,6 @@ void Shard::BeginQuarantine(int64_t now_tick, bool injected_crash) {
   probation_healthy_ = 0;
 }
 
-void Shard::FoldIncarnation(ShardTotals* out) const {
-  if (const AdaptivePredictor* ap = adaptive()) {
-    out->adapt.Accumulate(ap->stats());
-  }
-  const GuardStats& gs = stack_.online->guard_stats();
-  out->repaired_values += gs.repaired_values;
-  out->gap_steps_filled += gs.gap_steps_filled;
-  if (out->quarantine_by_region.size() < gs.quarantine.size()) {
-    out->quarantine_by_region.resize(gs.quarantine.size(), 0);
-  }
-  for (size_t r = 0; r < gs.quarantine.size(); ++r) {
-    out->quarantine_by_region[r] += gs.quarantine[r];
-  }
-}
-
 Status Shard::Restart() {
   std::unique_ptr<NeuralForecaster> reloaded;
   std::string state_path;
@@ -183,7 +159,7 @@ Status Shard::Restart() {
       Stack stack,
       BuildStack(reloaded != nullptr ? reloaded.get() : model_.get(), config_,
                  dataset_, serve_begin_, state_path));
-  FoldIncarnation(&totals_);  // the dying incarnation's counters
+  totals_ = Totals();  // the dying incarnation's counters
   stack_ = std::move(stack);
   if (reloaded != nullptr) model_ = std::move(reloaded);
   if (stack_.restored) ++totals_.restarts_from_checkpoint;
@@ -244,7 +220,11 @@ void Shard::MaybeCheckpoint() {
 
 ShardTotals Shard::Totals() const {
   ShardTotals out = totals_;
-  FoldIncarnation(&out);
+  out.guard.Accumulate(stack_.online->guard_stats());
+  out.degradation.Accumulate(stack_.resilient->degradation());
+  if (const AdaptivePredictor* ap = adaptive()) {
+    out.adapt.Accumulate(ap->stats());
+  }
   return out;
 }
 

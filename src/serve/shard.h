@@ -1,7 +1,6 @@
 #ifndef EALGAP_SERVE_SHARD_H_
 #define EALGAP_SERVE_SHARD_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -98,8 +97,10 @@ struct ShardConfig : StackOptions {
 using ModelReloader = std::function<Result<std::unique_ptr<NeuralForecaster>>(
     const std::string&)>;
 
-/// Per-shard lifetime counters, accumulated ACROSS restarts (the live
-/// predictor/chain counters die with each incarnation).
+/// Per-shard lifetime counters, accumulated ACROSS restarts. Each count
+/// has one owner. The scalar fields are what the shard itself decides.
+/// The three layer structs are the serving layers' own counters, folded
+/// in whole from every incarnation (the live layers die with it).
 struct ShardTotals {
   int64_t crashes = 0;            ///< injected daemon.shard.crash fires
   int64_t stall_ticks = 0;        ///< injected daemon.shard.stall ticks
@@ -109,17 +110,9 @@ struct ShardTotals {
   int64_t checkpoints_written = 0;
   int64_t checkpoint_failures = 0;
   int64_t observes_applied = 0;
-  int64_t observes_rejected = 0;  ///< guard-rejected (attributed)
-  int64_t predicts_model = 0;
-  int64_t predicts_degraded = 0;
-  std::array<int64_t, kNumDegradeCauses> degraded_by_cause{};
-  std::array<int64_t, kNumFallbackLevels> served_by_level{};
-  /// Guard repair/quarantine counters folded in from every incarnation.
-  int64_t repaired_values = 0;
-  int64_t gap_steps_filled = 0;
-  std::vector<int64_t> quarantine_by_region;
-  /// Test-time adaptation attribution folded in from every incarnation
-  /// (all-zero unless the shard serves through an AdaptivePredictor).
+  GuardStats guard;              ///< OnlinePredictor input guards
+  DegradationState degradation;  ///< ResilientPredictor chain (counters)
+  /// All-zero unless the shard serves through an AdaptivePredictor.
   AdaptStats adapt;
 };
 
@@ -162,8 +155,9 @@ class Shard {
 
   // --- serving -------------------------------------------------------------
   /// Applies one Observe through the guard chain. A guard rejection is
-  /// counted (observes_rejected) and reported OK here: the feed is
-  /// advancing, the rejection is attributed, the loop must not stop.
+  /// counted by the guard (GuardStats::rejected_observations) and reported
+  /// OK here: the feed is advancing, the rejection is attributed, the loop
+  /// must not stop.
   void ApplyObserve(const Request& request);
 
   /// One coalesced model step: every pending Predict popped this tick is
@@ -179,15 +173,16 @@ class Shard {
   const std::vector<double>& ExpiredFallback();
 
   // --- watchdog (driven by the daemon, single-threaded) --------------------
-  /// Folds the last served step into the health counters. Returns true
-  /// when the watchdog verdict is "quarantine this shard now".
+  /// Folds the last served step into the watchdog streaks (the chain
+  /// counts the step itself). Returns true when the watchdog verdict is
+  /// "quarantine this shard now".
   bool NoteServedStep();
   /// Counts a stalled tick; true when the stall streak trips the watchdog.
   bool NoteStalledTick();
   void NoteDrainedTick() { stalled_streak_ = 0; }
 
-  /// Fences the shard and schedules its restart. Folds the dying
-  /// incarnation's counters into totals.
+  /// Fences the shard and schedules its restart. The incarnation's
+  /// counters are folded into totals at Restart(), not here.
   void BeginQuarantine(int64_t now_tick, bool injected_crash);
 
   /// Builds a fresh stack, restored from the last CRC'd checkpoint (or
@@ -209,7 +204,8 @@ class Shard {
   /// fan-out.
   Result<AdaptEvent> MaybeAdapt();
 
-  /// Lifetime totals + the live incarnation's counters folded together.
+  /// Lifetime totals with the live incarnation's layer counters folded in
+  /// (a restart stores this fold as the new lifetime totals).
   ShardTotals Totals() const;
 
   /// The live incarnation's layers; a restart replaces them, so do not
@@ -226,10 +222,6 @@ class Shard {
   std::string AdaptStatePath() const {
     return config_.state_dir + "/adapt.state";
   }
-
-  /// Folds the live incarnation's adaptation and guard counters into
-  /// `out` (totals_ at a restart, a copy of it for Totals()).
-  void FoldIncarnation(ShardTotals* out) const;
 
   ShardConfig config_;
   data::SlidingWindowDataset dataset_;

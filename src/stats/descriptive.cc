@@ -46,6 +46,39 @@ double Quantile(std::vector<double> v, double q) {
   return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
+double WeightedQuantile(std::vector<WeightedValue> v, double q) {
+  EALGAP_CHECK(q >= 0.0 && q <= 1.0);
+  int64_t n = 0;
+  for (const WeightedValue& e : v) {
+    EALGAP_CHECK(e.weight >= 0);
+    n += e.weight;
+  }
+  EALGAP_CHECK(n > 0);
+  std::sort(v.begin(), v.end(),
+            [](const WeightedValue& a, const WeightedValue& b) {
+              return a.value < b.value;
+            });
+  // Quantile()'s arithmetic, with n the expanded sample's size.
+  const double pos = q * static_cast<double>(n - 1);
+  const int64_t lo = static_cast<int64_t>(pos);
+  const int64_t hi = std::min(lo + 1, n - 1);
+  const double frac = pos - static_cast<double>(lo);
+  // Element i of the expanded sample is the first entry whose running
+  // weight exceeds i.
+  double at_lo = 0.0;
+  double at_hi = 0.0;
+  int64_t seen = 0;
+  for (const WeightedValue& e : v) {
+    if (seen <= lo && lo < seen + e.weight) at_lo = e.value;
+    seen += e.weight;
+    if (hi < seen) {
+      at_hi = e.value;
+      break;
+    }
+  }
+  return at_lo * (1.0 - frac) + at_hi * frac;
+}
+
 double Median(std::vector<double> v) { return Quantile(std::move(v), 0.5); }
 
 double Correlation(const std::vector<double>& a, const std::vector<double>& b) {

@@ -1,6 +1,7 @@
 #ifndef EALGAP_STATS_DESCRIPTIVE_H_
 #define EALGAP_STATS_DESCRIPTIVE_H_
 
+#include <cstdint>
 #include <vector>
 
 namespace ealgap {
@@ -18,8 +19,21 @@ double StdDev(const std::vector<double>& v);
 double Min(const std::vector<double>& v);
 double Max(const std::vector<double>& v);
 
-/// Linear-interpolation quantile, q in [0, 1]. Sorts a copy.
+/// Linear-interpolation quantile, q in [0, 1]: the sorted values
+/// interpolated at position q*(n-1). Sorts a copy.
 double Quantile(std::vector<double> v, double q);
+
+/// A value that stands for `weight` equal samples (weight >= 0), e.g. one
+/// coalesced serve step's wall time, once per request it answered.
+struct WeightedValue {
+  double value = 0.0;
+  int64_t weight = 0;
+};
+
+/// Quantile() of the expanded sample in which each value appears `weight`
+/// times (n = the total weight, which must be positive), computed without
+/// expanding it. Sorts a copy.
+double WeightedQuantile(std::vector<WeightedValue> v, double q);
 
 /// Median (Quantile 0.5).
 double Median(std::vector<double> v);

@@ -18,6 +18,7 @@
 // the binary is safe under an ambient EALGAP_FAULTS.
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -641,29 +642,14 @@ TEST(DaemonAdaptTest, FreezeTripsAndProbeRecovers) {
   }
 }
 
-/// The counters a restart must carry over unchanged: adaptation, guard
-/// repairs and served/observed attribution.
+/// The counters a restart must carry over unchanged: every layer's folded
+/// stats struct whole, and the applied observes.
 void ExpectSameCounts(const serve::ShardTotals& before,
                       const serve::ShardTotals& after) {
-  EXPECT_EQ(after.adapt.steps, before.adapt.steps);
-  EXPECT_EQ(after.adapt.observed, before.adapt.observed);
-  EXPECT_EQ(after.adapt.triggers, before.adapt.triggers);
-  EXPECT_EQ(after.adapt.attempts, before.adapt.attempts);
-  EXPECT_EQ(after.adapt.commits, before.adapt.commits);
-  EXPECT_EQ(after.adapt.Rollbacks(), before.adapt.Rollbacks());
-  EXPECT_EQ(after.adapt.pairs, before.adapt.pairs);
-  EXPECT_EQ(after.adapt.values, before.adapt.values);
-  EXPECT_EQ(after.adapt.truth_sum, before.adapt.truth_sum);
-  EXPECT_EQ(after.adapt.adapted_abs_err, before.adapt.adapted_abs_err);
-  EXPECT_EQ(after.adapt.frozen_abs_err, before.adapt.frozen_abs_err);
-  EXPECT_EQ(after.repaired_values, before.repaired_values);
-  EXPECT_EQ(after.gap_steps_filled, before.gap_steps_filled);
-  EXPECT_EQ(after.quarantine_by_region, before.quarantine_by_region);
+  EXPECT_EQ(after.guard, before.guard);
+  EXPECT_EQ(after.degradation, before.degradation);
+  EXPECT_EQ(after.adapt, before.adapt);
   EXPECT_EQ(after.observes_applied, before.observes_applied);
-  EXPECT_EQ(after.observes_rejected, before.observes_rejected);
-  EXPECT_EQ(after.predicts_model, before.predicts_model);
-  EXPECT_EQ(after.predicts_degraded, before.predicts_degraded);
-  EXPECT_EQ(after.served_by_level, before.served_by_level);
 }
 
 // A restart moves the dying incarnation's counters into the shard's
@@ -702,9 +688,22 @@ TEST(DaemonAdaptTest, RestartKeepsTotalsAndStartsAFreshAdaptiveLayer) {
         shard.NoteServedStep();
         ASSERT_TRUE(shard.MaybeAdapt().ok());
       }
+      // One poisoned step the guard repairs, then one stale observe it
+      // rejects: both counts must survive the restart too.
+      const int64_t step = shard.TakeFeedStep();
+      std::vector<double> poisoned = shard.FeedCounts(step);
+      poisoned[0] = std::nan("");
+      ASSERT_TRUE(shard.predictor()->ObserveAt(step, poisoned).ok());
+      serve::Request stale;
+      stale.kind = serve::RequestKind::kObserve;
+      stale.feed_step = step;
+      shard.ApplyObserve(stale);
       const serve::ShardTotals before = shard.Totals();
       EXPECT_EQ(before.adapt.steps, adapt ? kSteps : 0);
-      EXPECT_GT(before.gap_steps_filled, 0);
+      EXPECT_EQ(before.degradation.total_steps, kSteps);
+      EXPECT_GT(before.guard.gap_steps_filled, 0);
+      EXPECT_EQ(before.guard.repaired_steps, 1);
+      EXPECT_EQ(before.guard.rejected_observations, 1);
 
       shard.BeginQuarantine(/*now_tick=*/0, /*injected_crash=*/false);
       ASSERT_TRUE(shard.Restart().ok());

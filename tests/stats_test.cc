@@ -156,6 +156,29 @@ TEST(DescriptiveTest, BasicStats) {
   EXPECT_DOUBLE_EQ(stats::Quantile({0, 10}, 0.25), 2.5);
 }
 
+// The weighted quantile is Quantile() over the expanded sample, bit for
+// bit: with ties, with zero weights, in any input order, and for n = 1.
+TEST(DescriptiveTest, WeightedQuantileMatchesTheExpandedSample) {
+  const std::vector<std::vector<stats::WeightedValue>> cases = {
+      {{2.5, 1}},
+      {{7.0, 5}},
+      {{3.0, 2}, {1.0, 3}, {3.0, 1}, {0.5, 0}, {2.0, 4}},
+      {{0.125, 1}, {9.0, 1}, {4.0, 7}, {4.0, 2}, {1e-3, 1}, {6.5, 3}},
+  };
+  for (const auto& weighted : cases) {
+    std::vector<double> expanded;
+    for (const stats::WeightedValue& e : weighted) {
+      expanded.insert(expanded.end(), static_cast<size_t>(e.weight), e.value);
+    }
+    for (double q : {0.0, 0.01, 0.25, 0.5, 0.73, 0.95, 0.99, 1.0}) {
+      EXPECT_EQ(stats::WeightedQuantile(weighted, q),
+                stats::Quantile(expanded, q))
+          << "n=" << expanded.size() << " q=" << q;
+    }
+  }
+  EXPECT_EQ(stats::WeightedQuantile({{1.0, 1}, {3.0, 1}}, 0.5), 2.0);
+}
+
 TEST(DescriptiveTest, CorrelationSignAndBounds) {
   const std::vector<double> x{1, 2, 3, 4, 5};
   std::vector<double> y{2, 4, 6, 8, 10};

@@ -112,6 +112,7 @@
 #include "data/trip.h"
 #include "serve/daemon.h"
 #include "serve/stack.h"
+#include "stats/descriptive.h"
 #include "stats/metrics.h"
 
 namespace {
@@ -545,20 +546,14 @@ int Serve(const Flags& flags) {
   PrintMetrics("replay metrics (" + (*model)->name() + ")",
                stats::ComputeMetrics(pred, truth));
 
-  std::vector<double> sorted = latency_ms;
-  std::sort(sorted.begin(), sorted.end());
   auto pct = [&](double q) {
-    const size_t i = static_cast<size_t>(q * (sorted.size() - 1));
-    return sorted[i];
+    return TablePrinter::Num(stats::Quantile(latency_ms, q));
   };
-  double mean = 0.0;
-  for (double v : latency_ms) mean += v;
-  mean /= static_cast<double>(latency_ms.size());
   TablePrinter lat("per-prediction latency (ms, " +
                        std::to_string(latency_ms.size()) + " steps)",
                    {"mean", "p50", "p95", "p99"});
-  lat.AddRow({TablePrinter::Num(mean), TablePrinter::Num(pct(0.50)),
-              TablePrinter::Num(pct(0.95)), TablePrinter::Num(pct(0.99))});
+  lat.AddRow({TablePrinter::Num(stats::Mean(latency_ms)), pct(0.50),
+              pct(0.95), pct(0.99)});
   lat.Print(std::cout);
 
   // Degradation report: how many steps fell back, why, and to what.
@@ -769,15 +764,15 @@ int Daemon(const Flags& flags) {
     ht.AddRow({sh->name(), serve::ShardHealthName(sh->health()),
                std::to_string(t.quarantines), std::to_string(t.restarts),
                std::to_string(t.observes_applied),
-               std::to_string(t.predicts_degraded)});
+               std::to_string(t.degradation.degraded_steps)});
     // Shard-local region q maps to city region s * regions_per_shard + q.
-    for (size_t r = 0; r < t.quarantine_by_region.size(); ++r) {
+    for (size_t r = 0; r < t.guard.quarantine.size(); ++r) {
       const size_t global =
           static_cast<size_t>(s) * static_cast<size_t>(regions_per_shard) + r;
       if (fleet_quarantine.size() <= global) {
         fleet_quarantine.resize(global + 1, 0);
       }
-      fleet_quarantine[global] += t.quarantine_by_region[r];
+      fleet_quarantine[global] += t.guard.quarantine[r];
     }
   }
   ht.Print(std::cout);
