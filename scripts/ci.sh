@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: build, run the full test suite, rehearse an interrupted
 # experiment sweep (crash + resume must reproduce the clean run byte for
-# byte), check the CLI rejects unknown flags, chaos-soak the serving daemon
+# byte), stream the trained checkpoint through `serve` (its replay must
+# equal evaluate's test metrics), check the CLI rejects unknown flags,
+# chaos-soak the serving daemon
 # with faults armed (plain, adaptive, and adaptive without checkpoints),
 # TSan the concurrent serving paths, ASan the checkpoint/resume loaders,
 # and UBSan the adaptation arithmetic and loaders.
@@ -47,8 +49,12 @@ echo "===== interrupt-resume stage: crash a sweep, resume it, diff vs clean ====
 # not progress). Resuming without faults re-runs only the missing cell, and
 # the resulting journal must be byte-identical to one from a clean sweep —
 # the journal format deliberately carries no wall-clock fields.
+# One EXIT trap removes every temp dir the stages make: a second `trap`
+# would replace this one and leak the checkpoints and CSVs below.
 RESUME_TMP="$(mktemp -d)"
-trap 'rm -rf "$RESUME_TMP"' EXIT
+BENCH_TMP=""
+cleanup() { rm -rf "$RESUME_TMP" ${BENCH_TMP:+"$BENCH_TMP"}; }
+trap cleanup EXIT
 TOOL="./$BUILD_DIR/tools/ealgap_tool"
 SWEEP_ARGS=(--cities nyc_bike --periods normal --schemes HA,ARIMA --scale 0.35)
 if EALGAP_FAULTS="io.write.fail:every=1:after=1" \
@@ -73,7 +79,8 @@ echo "journal resume: interrupted+resumed journal byte-identical to clean"
   --out-stations "$RESUME_TMP/stations.csv" > /dev/null
 EVAL_ARGS=(--trips "$RESUME_TMP/trips.csv" --stations "$RESUME_TMP/stations.csv"
   --start 2020-06-30 --scheme EALGAP --epochs 3)
-"$TOOL" evaluate "${EVAL_ARGS[@]}" --save "$RESUME_TMP/clean.ckpt" > /dev/null
+"$TOOL" evaluate "${EVAL_ARGS[@]}" --save "$RESUME_TMP/clean.ckpt" \
+  > "$RESUME_TMP/evaluate.out"
 # after=150 lands in epoch 2 (~110 optimizer steps per epoch here), so the
 # epoch-1 snapshot is on disk when the run dies.
 if EALGAP_FAULTS="train.step.error:every=1:after=150:max=1" \
@@ -91,6 +98,29 @@ fi
   --checkpoint-every 1 --resume --save "$RESUME_TMP/resumed.ckpt" > /dev/null
 cmp "$RESUME_TMP/clean.ckpt" "$RESUME_TMP/resumed.ckpt"
 echo "train resume: interrupted+resumed checkpoint byte-identical to clean"
+
+echo "===== streaming stage: serve replays evaluate's test range ====="
+# Serving the clean checkpoint over the same feed streams the test range
+# through OnlinePredictor's ring, and must reproduce evaluate's batch test
+# metrics exactly. serve takes only the pipeline flags: it rejects
+# --scheme and --epochs.
+SERVE_ARGS=(--trips "$RESUME_TMP/trips.csv" --stations "$RESUME_TMP/stations.csv"
+  --start 2020-06-30 --checkpoint "$RESUME_TMP/clean.ckpt")
+ADAPT_ARGS=(--adapt-cusum-h 4 --adapt-window 32 --adapt-min-window 12
+  --adapt-holdout 4 --adapt-cooldown 8)
+batch_row="$(grep -A3 '^test metrics' "$RESUME_TMP/evaluate.out" | tail -n 1)"
+stream_row="$("$TOOL" serve "${SERVE_ARGS[@]}" | grep -A3 '^replay metrics' \
+  | tail -n 1)"
+if [[ -z "$batch_row" || "$stream_row" != "$batch_row" ]]; then
+  echo "FAIL: serve replay metrics '$stream_row' differ from evaluate test" \
+       "metrics '$batch_row'" >&2
+  exit 1
+fi
+echo "streaming vs batch: replay metrics equal test metrics ($stream_row)"
+# Adaptation fine-tunes on the ring's samples, next-step rows included.
+"$TOOL" serve "${SERVE_ARGS[@]}" --repair impute --adapt "${ADAPT_ARGS[@]}" \
+  > /dev/null
+echo "streaming adaptive: serve --repair impute --adapt exited clean"
 
 echo "===== CLI stage: unknown flags are rejected ====="
 # A flag the subcommand does not accept must exit 2 naming it, never run
@@ -129,9 +159,7 @@ echo "daemon soak: fault-armed run exited clean with full attribution"
 # commits + rollbacks), so exit 0 IS the adaptation-attribution assertion.
 EALGAP_FAULTS="serve.adapt.nan:every=3,serve.adapt.reject:every=4,serve.adapt.error:every=5,serve.adapt.delay:every=7:ms=1,daemon.shard.crash:every=83" \
   "$TOOL" daemon --shards 2 --ticks 200 --days 40 --epochs 0 --adapt \
-  --adapt-cusum-h 4 --adapt-window 32 --adapt-min-window 12 \
-  --adapt-holdout 4 --adapt-cooldown 8 \
-  --state-dir "$RESUME_TMP/daemon_state_adapt" | tail -n 4
+  "${ADAPT_ARGS[@]}" --state-dir "$RESUME_TMP/daemon_state_adapt" | tail -n 4
 echo "daemon soak: adaptive fault-armed run exited clean with full attribution"
 
 # The in-memory adaptive restart leg: the same adaptation run with shard
@@ -140,8 +168,7 @@ echo "daemon soak: adaptive fault-armed run exited clean with full attribution"
 # 0 is again the adaptation-attribution assertion.
 EALGAP_FAULTS="serve.adapt.nan:every=3,serve.adapt.reject:every=4,daemon.shard.crash:every=83" \
   "$TOOL" daemon --shards 2 --ticks 200 --days 40 --epochs 0 --adapt \
-  --adapt-cusum-h 4 --adapt-window 32 --adapt-min-window 12 \
-  --adapt-holdout 4 --adapt-cooldown 8 | tail -n 4
+  "${ADAPT_ARGS[@]}" | tail -n 4
 echo "daemon soak: in-memory adaptive restarts exited clean with full attribution"
 
 echo "===== alloc-free stage: zero-allocation serve contract ====="
@@ -224,7 +251,6 @@ if [[ "${EALGAP_CI_BENCH:-0}" == "1" ]]; then
   # Measure into a scratch directory (never overwrites the committed
   # baselines; re-record those deliberately with scripts/bench_to_json.sh).
   BENCH_TMP="$(mktemp -d)"
-  trap 'rm -rf "$BENCH_TMP"' EXIT
   for pair in "micro_tensor_ops:BENCH_tensor_ops.json" \
               "micro_serve:BENCH_serve.json" \
               "micro_daemon:BENCH_daemon.json" \

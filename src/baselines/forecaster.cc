@@ -23,11 +23,10 @@ Status Forecaster::PredictRange(const data::SlidingWindowDataset& dataset,
   for (int64_t step : dataset.TargetSteps(begin, end)) {
     EALGAP_ASSIGN_OR_RETURN(std::vector<double> pred,
                             Predict(dataset, step));
-    const data::WindowSample sample = dataset.MakeSample(step);
-    const float* t = sample.target.data();
+    const std::vector<float> truth = dataset.StepCounts(step);
     for (size_t r = 0; r < pred.size(); ++r) {
       predictions->push_back(pred[r]);
-      truths->push_back(t[r]);
+      truths->push_back(truth[r]);
     }
   }
   return Status::OK();

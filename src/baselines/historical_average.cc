@@ -17,16 +17,12 @@ Result<std::vector<double>> HistoricalAverageForecaster::Predict(
   if (target_step < 0 || target_step >= series.total_steps()) {
     return Status::OutOfRange("target step out of range");
   }
-  const int64_t day = series.steps_per_day;
-  const bool weekend = series.IsWeekendStep(target_step);
   std::vector<double> out(series.num_regions, 0.0);
   int found = 0;
-  for (int64_t back = target_step - day; back >= 0 && found < history_;
-       back -= day) {
-    if (series.IsWeekendStep(back) != weekend) continue;
+  series.ForEachMatchedStep(target_step, history_, [&](int64_t back) {
     for (int r = 0; r < series.num_regions; ++r) out[r] += series.At(r, back);
     ++found;
-  }
+  });
   if (found > 0) {
     for (double& v : out) v /= found;
   }

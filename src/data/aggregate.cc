@@ -8,19 +8,6 @@
 namespace ealgap {
 namespace data {
 
-CivilDate MobilitySeries::DateOfStep(int64_t step) const {
-  return AddDays(start_date, step / steps_per_day);
-}
-
-int MobilitySeries::HourOfStep(int64_t step) const {
-  const int64_t within_day = step % steps_per_day;
-  return static_cast<int>(within_day * 24 / steps_per_day);
-}
-
-bool MobilitySeries::IsWeekendStep(int64_t step) const {
-  return IsWeekend(DateOfStep(step));
-}
-
 float MobilitySeries::At(int region, int64_t step) const {
   return counts.data()[region * total_steps() + step];
 }

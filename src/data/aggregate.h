@@ -7,6 +7,7 @@
 #include "common/time_util.h"
 #include "data/partition.h"
 #include "data/trip.h"
+#include "data/window.h"
 #include "tensor/tensor.h"
 
 namespace ealgap {
@@ -14,20 +15,14 @@ namespace data {
 
 /// The region x time-step mobility matrix X plus its calendar, the form all
 /// forecasters consume (paper Sec. IV-A: T = 24 steps/day).
-struct MobilitySeries {
+struct MobilitySeries : StepCalendar {
   Tensor counts;  ///< (num_regions, total_steps) pick-up volumes
   int num_regions = 0;
-  int steps_per_day = 24;
-  CivilDate start_date;
   int num_days = 0;
 
   int64_t total_steps() const {
     return static_cast<int64_t>(num_days) * steps_per_day;
   }
-  /// Calendar helpers for a step index.
-  CivilDate DateOfStep(int64_t step) const;
-  int HourOfStep(int64_t step) const;
-  bool IsWeekendStep(int64_t step) const;
 
   /// Value accessor.
   float At(int region, int64_t step) const;

@@ -1,7 +1,6 @@
 #include "data/dataset.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
 
@@ -25,41 +24,22 @@ Result<SlidingWindowDataset> SlidingWindowDataset::Create(
   const int64_t steps = ds.series_.total_steps();
   ds.mu_ = Tensor::Zeros({n, steps});
   ds.sigma_ = Tensor::Zeros({n, steps});
-  for (int64_t s = 0; s < steps; ++s) ds.RefreshMatchedStats(s);
+  std::vector<const float*> rows(options.norm_history + 1);
+  for (int64_t s = 0; s < steps; ++s) ds.RefreshMatchedStats(s, &rows);
   return ds;
 }
 
-void SlidingWindowDataset::RefreshMatchedStats(int64_t s) {
-  const int n = series_.num_regions;
+void SlidingWindowDataset::RefreshMatchedStats(
+    int64_t s, std::vector<const float*>* rows) {
   const int64_t steps = series_.total_steps();
-  const int t_day = series_.steps_per_day;
   const float* x = series_.counts.data();
-  float* mu = mu_.data();
-  float* sigma = sigma_.data();
-  // Matched historical steps: the step itself plus the previous
-  // norm_history records at the same time of day on the same day type.
-  std::vector<int64_t> matched;
-  matched.push_back(s);
-  const bool weekend = series_.IsWeekendStep(s);
-  for (int64_t back = s - t_day;
-       back >= 0 &&
-       static_cast<int>(matched.size()) < options_.norm_history + 1;
-       back -= t_day) {
-    if (series_.IsWeekendStep(back) == weekend) matched.push_back(back);
-  }
-  const double inv = 1.0 / static_cast<double>(matched.size());
-  for (int r = 0; r < n; ++r) {
-    double m = 0.0;
-    for (int64_t idx : matched) m += x[r * steps + idx];
-    m *= inv;
-    double ss = 0.0;
-    for (int64_t idx : matched) {
-      const double d = x[r * steps + idx] - m;
-      ss += d * d;
-    }
-    mu[r * steps + s] = static_cast<float>(m);
-    sigma[r * steps + s] = static_cast<float>(std::sqrt(ss * inv));
-  }
+  int count = 0;
+  (*rows)[count++] = x + s;
+  series_.ForEachMatchedStep(s, options_.norm_history, [&](int64_t back) {
+    (*rows)[count++] = x + back;
+  });
+  MatchedMoments(rows->data(), count, steps, series_.num_regions,
+                 mu_.data() + s, sigma_.data() + s, steps);
 }
 
 SlidingWindowDataset SlidingWindowDataset::Clone() const {
@@ -92,52 +72,21 @@ Status SlidingWindowDataset::OverwriteStep(int64_t step,
   const int t_day = series_.steps_per_day;
   const int64_t horizon =
       static_cast<int64_t>(2 * (options_.norm_history + 2)) * t_day;
+  std::vector<const float*> rows(options_.norm_history + 1);
   for (int64_t s = step; s < std::min(steps, step + horizon + 1);
        s += t_day) {
-    RefreshMatchedStats(s);
+    RefreshMatchedStats(s, &rows);
   }
   return Status::OK();
 }
 
-namespace {
-std::vector<float> StepRow(const Tensor& t, int n, int64_t steps,
-                           int64_t step) {
-  std::vector<float> out(n);
-  const float* p = t.data();
-  for (int r = 0; r < n; ++r) out[r] = p[r * steps + step];
-  return out;
-}
-}  // namespace
-
 std::vector<float> SlidingWindowDataset::StepCounts(int64_t step) const {
   EALGAP_CHECK_GE(step, 0);
   EALGAP_CHECK_LT(step, series_.total_steps());
-  return StepRow(series_.counts, series_.num_regions, series_.total_steps(),
-                 step);
-}
-
-std::vector<float> SlidingWindowDataset::StepMu(int64_t step) const {
-  EALGAP_CHECK_GE(step, 0);
-  EALGAP_CHECK_LT(step, series_.total_steps());
-  return StepRow(mu_, series_.num_regions, series_.total_steps(), step);
-}
-
-std::vector<float> SlidingWindowDataset::StepSigma(int64_t step) const {
-  EALGAP_CHECK_GE(step, 0);
-  EALGAP_CHECK_LT(step, series_.total_steps());
-  return StepRow(sigma_, series_.num_regions, series_.total_steps(), step);
-}
-
-int64_t SlidingWindowDataset::MinTargetStep() const {
-  const int64_t t_day = series_.steps_per_day;
-  const int64_t l = options_.history_length;
-  const int64_t m = options_.num_windows;
-  // Window m=1 reaches back T*(M-1)+L steps before t+1; normalization
-  // statistics want norm_history prior same-type days (+2 days of slack to
-  // bridge weekends).
-  const int64_t window_floor = t_day * (m - 1) + l;
-  const int64_t norm_floor = t_day * (options_.norm_history + 2);
-  return std::max(window_floor, norm_floor);
+  std::vector<float> out(series_.num_regions);
+  CopyRegions(series_.counts.data() + step, series_.total_steps(), out.data(),
+              1, series_.num_regions);
+  return out;
 }
 
 std::vector<int64_t> SlidingWindowDataset::TargetSteps(int64_t begin,
@@ -152,62 +101,8 @@ std::vector<int64_t> SlidingWindowDataset::TargetSteps(int64_t begin,
 WindowSample SlidingWindowDataset::MakeSample(int64_t target_step) const {
   EALGAP_CHECK_GE(target_step, MinTargetStep());
   EALGAP_CHECK_LT(target_step, series_.total_steps());
-  const int n = series_.num_regions;
-  const int64_t steps = series_.total_steps();
-  const int64_t l = options_.history_length;
-  const int64_t m = options_.num_windows;
-  const int64_t t_day = series_.steps_per_day;
-  const float* x = series_.counts.data();
-  const float* mu = mu_.data();
-  const float* sg = sigma_.data();
-
-  WindowSample sample;
-  sample.target_step = target_step;
-  sample.x = Tensor::Zeros({n, l});
-  sample.f = Tensor::Zeros({m, n, l});
-  sample.f_mu = Tensor::Zeros({m, n, l});
-  sample.f_sigma = Tensor::Zeros({m, n, l});
-  sample.target = Tensor::Zeros({n});
-  sample.w_next = Tensor::Zeros({m, n});
-  sample.w_next_mu = Tensor::Zeros({m, n});
-  sample.w_next_sigma = Tensor::Zeros({m, n});
-
-  float* px = sample.x.data();
-  float* pf = sample.f.data();
-  float* pfm = sample.f_mu.data();
-  float* pfs = sample.f_sigma.data();
-  float* pt = sample.target.data();
-
-  // Near history X[:, t-L+1 : t] == steps [target_step - L, target_step).
-  for (int r = 0; r < n; ++r) {
-    for (int64_t j = 0; j < l; ++j) {
-      px[r * l + j] = x[r * steps + (target_step - l + j)];
-    }
-    pt[r] = x[r * steps + target_step];
-  }
-  // Windows F_m end T*(M-m) steps before t; F_M coincides with x.
-  float* pwn = sample.w_next.data();
-  float* pwm = sample.w_next_mu.data();
-  float* pws = sample.w_next_sigma.data();
-  for (int64_t w = 0; w < m; ++w) {
-    const int64_t offset = t_day * (m - 1 - w);
-    const int64_t begin = target_step - offset - l;
-    for (int r = 0; r < n; ++r) {
-      for (int64_t j = 0; j < l; ++j) {
-        const int64_t src = r * steps + (begin + j);
-        const int64_t dst = (w * n + r) * l + j;
-        pf[dst] = x[src];
-        pfm[dst] = mu[src];
-        pfs[dst] = sg[src];
-      }
-      // Step following window w: t - T(M-m) + 1 == target_step - offset.
-      const int64_t next = r * steps + (target_step - offset);
-      pwn[w * n + r] = x[next];
-      pwm[w * n + r] = mu[next];
-      pws[w * n + r] = sg[next];
-    }
-  }
-  return sample;
+  return AssembleWindowSample(step_rows(), geometry(), series_.num_regions,
+                              target_step);
 }
 
 Result<StepRanges> MakeChronoSplit(const SlidingWindowDataset& dataset,

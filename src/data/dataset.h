@@ -5,39 +5,11 @@
 
 #include "common/result.h"
 #include "data/aggregate.h"
+#include "data/window.h"
 #include "tensor/tensor.h"
 
 namespace ealgap {
 namespace data {
-
-struct DatasetOptions {
-  /// L: length of the near-history window (paper Sec. IV-A).
-  int history_length = 5;
-  /// M: number of day-offset windows F_1..F_M.
-  int num_windows = 3;
-  /// How many previous same-time-of-day, same-day-type records enter the
-  /// extreme-degree mean/std (paper Sec. V-B-1 uses "previous M records";
-  /// kept as its own knob for the sensitivity study).
-  int norm_history = 3;
-};
-
-/// One training/evaluation sample for next-step prediction at target_step.
-struct WindowSample {
-  Tensor x;        ///< (N, L)    near history X[:, t-L+1 : t]
-  Tensor f;        ///< (M, N, L) windows F_m = X[:, t-T(M-m)-L+1 : t-T(M-m)]
-  Tensor f_mu;     ///< (M, N, L) same-time-period means aligned with f
-  Tensor f_sigma;  ///< (M, N, L) same-time-period std devs aligned with f
-  Tensor target;   ///< (N)       ground truth X[:, t+1]
-  int64_t target_step = 0;  ///< index of t+1 in the series
-
-  /// Per-window next-step supervision for Eq. (10): for each window m the
-  /// GRU predicts the extreme degree at step t - T(M-m) + 1; these tensors
-  /// carry X, mu, sigma at those M steps (the last row is the target step
-  /// itself, whose X equals `target`).
-  Tensor w_next;        ///< (M, N)
-  Tensor w_next_mu;     ///< (M, N)
-  Tensor w_next_sigma;  ///< (M, N)
-};
 
 /// Produces EALGAP-ready samples from a MobilitySeries.
 ///
@@ -56,7 +28,7 @@ class SlidingWindowDataset {
 
   /// Smallest target step with fully in-range windows and meaningful
   /// normalization statistics.
-  int64_t MinTargetStep() const;
+  int64_t MinTargetStep() const { return geometry().min_target_step(); }
 
   /// Valid target steps in [begin, end) (clamped to the feasible range).
   std::vector<int64_t> TargetSteps(int64_t begin, int64_t end) const;
@@ -77,21 +49,28 @@ class SlidingWindowDataset {
 
   const MobilitySeries& series() const { return series_; }
   const DatasetOptions& options() const { return options_; }
+  /// The series' calendar with the options: which steps a sample reads.
+  WindowGeometry geometry() const { return {series_, options_}; }
   /// Precomputed per-(region, step) matched statistics.
   const Tensor& mu() const { return mu_; }
   const Tensor& sigma() const { return sigma_; }
 
-  /// Dense per-region rows of one step — counts and the matched Eq. (9)
-  /// statistics. The seeding interface of serve::OnlinePredictor, which
-  /// copies a history prefix into its incremental accumulators. Requires
-  /// step in [0, total_steps).
+  /// Counts and matched statistics of every step as a step-row source
+  /// (data/window.h): what MakeSample reads and serve::OnlinePredictor
+  /// seeds its ring and accumulators from.
+  SeriesRows step_rows() const {
+    return {series_.counts.data(), mu_.data(), sigma_.data(),
+            series_.total_steps()};
+  }
+
+  /// Dense per-region counts of one step. Requires step in
+  /// [0, total_steps).
   std::vector<float> StepCounts(int64_t step) const;
-  std::vector<float> StepMu(int64_t step) const;
-  std::vector<float> StepSigma(int64_t step) const;
 
  private:
-  /// Recomputes mu_/sigma_ for all regions at one step.
-  void RefreshMatchedStats(int64_t step);
+  /// Recomputes mu_/sigma_ for all regions at one step; `rows` is scratch
+  /// for norm_history + 1 row pointers.
+  void RefreshMatchedStats(int64_t step, std::vector<const float*>* rows);
 
   MobilitySeries series_;
   DatasetOptions options_;

@@ -45,24 +45,23 @@ void GuardStats::Accumulate(const GuardStats& other) {
   }
 }
 
-bool OnlinePredictor::IsWeekendStep(int64_t s) const {
-  return IsWeekend(AddDays(start_date_, s / steps_per_day_));
-}
+struct OnlinePredictor::RingRows {
+  const OnlinePredictor& p;
 
-int64_t OnlinePredictor::MinFirstTarget() const {
-  const int64_t t_day = steps_per_day_;
-  const int64_t window_floor =
-      t_day * (options_.num_windows - 1) + options_.history_length;
-  const int64_t norm_floor = t_day * (options_.norm_history + 2);
-  return std::max(window_floor, norm_floor);
-}
+  static constexpr int64_t stride() { return 1; }
+  int64_t end() const { return p.next_step_; }
+  data::StepRow row(int64_t s) const {
+    const int64_t base = p.RingIndex(s);
+    return {p.ring_x_.data() + base, p.ring_mu_.data() + base,
+            p.ring_sigma_.data() + base};
+  }
+};
 
 void OnlinePredictor::InitSlotStorage() {
-  const int64_t nh = options_.norm_history;
-  slot_data_.Reset(2 * static_cast<int64_t>(steps_per_day_) * nh *
-                   num_regions_);
-  slot_head_.assign(2 * steps_per_day_, 0);
-  slot_count_.assign(2 * steps_per_day_, 0);
+  const int64_t slots = 2 * static_cast<int64_t>(geometry_.steps_per_day);
+  slot_data_.Reset(slots * geometry_.options.norm_history * num_regions_);
+  slot_head_.assign(slots, 0);
+  slot_count_.assign(slots, 0);
 }
 
 void OnlinePredictor::InitScratch() {
@@ -71,12 +70,12 @@ void OnlinePredictor::InitScratch() {
   scratch_mu_.resize(n);
   scratch_sigma_.resize(n);
   scratch_synth_.resize(n);
-  slot_rows_.resize(options_.norm_history);
+  slot_rows_.resize(geometry_.options.norm_history + 1);
   arena_ = std::make_unique<Arena>();
 }
 
 void OnlinePredictor::SlotPush(int slot, const float* row) {
-  const int nh = options_.norm_history;
+  const int nh = geometry_.options.norm_history;
   const int idx = (slot_head_[slot] + slot_count_[slot]) % nh;
   float* dst = slot_data_.data() +
                (static_cast<int64_t>(slot) * nh + idx) * num_regions_;
@@ -98,18 +97,14 @@ Result<OnlinePredictor> OnlinePredictor::Create(
     return Status::InvalidArgument(model->name() +
                                    " does not support streaming prediction");
   }
-  const auto& series = history.series();
   OnlinePredictor p;
   p.model_ = model;
-  p.options_ = history.options();
-  p.num_regions_ = series.num_regions;
-  p.steps_per_day_ = series.steps_per_day;
-  p.start_date_ = series.start_date;
-  p.window_span_ = static_cast<int64_t>(p.steps_per_day_) *
-                       (p.options_.num_windows - 1) +
-                   p.options_.history_length;
-  if (history_end < history.MinTargetStep() ||
-      history_end > series.total_steps()) {
+  p.geometry_ = history.geometry();
+  p.num_regions_ = history.series().num_regions;
+  p.window_span_ = p.geometry_.span();
+  const data::SeriesRows rows = history.step_rows();
+  if (history_end < p.geometry_.min_target_step() ||
+      history_end > rows.end()) {
     return Status::OutOfRange(
         "history_end must lie in [MinTargetStep, total_steps]");
   }
@@ -119,65 +114,27 @@ Result<OnlinePredictor> OnlinePredictor::Create(
   p.ring_mu_.Reset(p.window_span_ * n);
   p.ring_sigma_.Reset(p.window_span_ * n);
   p.InitSlotStorage();
+  p.InitScratch();
   p.window_sum_.assign(n, 0.0);
   p.guard_stats_.quarantine.assign(n, 0);
 
+  float* x_row = p.scratch_x_.data();
   for (int64_t s = 0; s < history_end; ++s) {
-    std::vector<float> x_row = history.StepCounts(s);
+    const data::StepRow row = rows.row(s);
+    data::CopyRegions(row.x, rows.stride(), x_row, 1, n);
     if (s >= history_end - p.window_span_) {
-      std::vector<float> mu_row = history.StepMu(s);
-      std::vector<float> sigma_row = history.StepSigma(s);
       const int64_t base = p.RingIndex(s);
-      std::copy(x_row.begin(), x_row.end(), p.ring_x_.begin() + base);
-      std::copy(mu_row.begin(), mu_row.end(), p.ring_mu_.begin() + base);
-      std::copy(sigma_row.begin(), sigma_row.end(),
-                p.ring_sigma_.begin() + base);
+      std::copy(x_row, x_row + n, p.ring_x_.data() + base);
+      data::CopyRegions(row.mu, rows.stride(), p.ring_mu_.data() + base, 1, n);
+      data::CopyRegions(row.sigma, rows.stride(), p.ring_sigma_.data() + base,
+                        1, n);
     }
-    if (s >= history_end - p.options_.history_length) {
+    if (s >= history_end - p.geometry_.options.history_length) {
       for (int r = 0; r < n; ++r) p.window_sum_[r] += x_row[r];
     }
-    p.SlotPush(p.SlotIndex(s), x_row.data());
+    p.SlotPush(p.geometry_.MatchedSlot(s), x_row);
   }
-  p.InitScratch();
   return p;
-}
-
-void OnlinePredictor::MatchedStats(int64_t s, const std::vector<float>& x_row,
-                                   std::vector<float>* mu_row,
-                                   std::vector<float>* sigma_row) const {
-  // Mirrors SlidingWindowDataset::RefreshMatchedStats: the matched set is
-  // the step itself plus the newest `norm_history` same-slot observations,
-  // accumulated newest-to-oldest in double precision — the identical
-  // floating-point summation order is what makes streaming bit-identical
-  // to the batch pipeline.
-  const int slot = SlotIndex(s);
-  const int prior = slot_count_[slot];
-  const double inv = 1.0 / static_cast<double>(1 + prior);
-  const int n = num_regions_;
-  // Resolve the circular-window ages once: SlotRowNewest costs a modulo
-  // and a 64-bit multiply, which must not run per region in this loop.
-  const float** rows = slot_rows_.data();
-  for (int k = 0; k < prior; ++k) rows[k] = SlotRowNewest(slot, k);
-  mu_row->resize(n);
-  sigma_row->resize(n);
-  for (int r = 0; r < n; ++r) {
-    double m = x_row[r];
-    for (int k = 0; k < prior; ++k) {
-      m += rows[k][r];
-    }
-    m *= inv;
-    double ss = 0.0;
-    {
-      const double d = x_row[r] - m;
-      ss += d * d;
-    }
-    for (int k = 0; k < prior; ++k) {
-      const double d = rows[k][r] - m;
-      ss += d * d;
-    }
-    (*mu_row)[r] = static_cast<float>(m);
-    (*sigma_row)[r] = static_cast<float>(std::sqrt(ss * inv));
-  }
 }
 
 float OnlinePredictor::HoldLastValue(int r) const {
@@ -185,7 +142,7 @@ float OnlinePredictor::HoldLastValue(int r) const {
 }
 
 float OnlinePredictor::SlotMeanOrHold(int64_t s, int r) const {
-  const int slot = SlotIndex(s);
+  const int slot = geometry_.MatchedSlot(s);
   const int count = slot_count_[slot];
   if (count == 0) return HoldLastValue(r);
   // Oldest-first, matching the nested-vector implementation's slot order.
@@ -241,11 +198,19 @@ Status OnlinePredictor::GuardRow(const std::vector<double>& counts,
 Status OnlinePredictor::ObserveRow(const std::vector<float>& x_row) {
   const int n = num_regions_;
   const int64_t s = next_step_;
-  MatchedStats(s, x_row, &scratch_mu_, &scratch_sigma_);
+  const int slot = geometry_.MatchedSlot(s);
+  // The matched set is the step itself plus the newest norm_history
+  // same-slot observations, newest first. Row ages are resolved once: a
+  // SlotRowNewest costs a modulo and a 64-bit multiply.
+  const int prior = slot_count_[slot];
+  slot_rows_[0] = x_row.data();
+  for (int k = 0; k < prior; ++k) slot_rows_[k + 1] = SlotRowNewest(slot, k);
+  data::MatchedMoments(slot_rows_.data(), 1 + prior, 1, n, scratch_mu_.data(),
+                       scratch_sigma_.data(), 1);
 
   // O(1) exponential-MLE refresh: slide the L-window sum before the ring
   // slot of step s-L is overwritten (they coincide when M == 1).
-  const int64_t leaving = RingIndex(s - options_.history_length);
+  const int64_t leaving = RingIndex(s - geometry_.options.history_length);
   for (int r = 0; r < n; ++r) {
     // Widen before subtracting: float arithmetic here would round each
     // slide and drift the sum off the exact value.
@@ -259,7 +224,7 @@ Status OnlinePredictor::ObserveRow(const std::vector<float>& x_row) {
   std::copy(scratch_sigma_.begin(), scratch_sigma_.end(),
             ring_sigma_.begin() + base);
 
-  SlotPush(SlotIndex(s), x_row.data());
+  SlotPush(slot, x_row.data());
   ++next_step_;
   return Status::OK();
 }
@@ -311,63 +276,8 @@ Status OnlinePredictor::PredictNextInto(std::vector<double>* out) {
   // declared after `scope` so its arena-backed tensors are released before
   // the rewind.
   ArenaScope scope(arena_.get());
-
-  const int64_t t = next_step_;  // target step
-  const int n = num_regions_;
-  const int64_t l = options_.history_length;
-  const int64_t m = options_.num_windows;
-  const int64_t t_day = steps_per_day_;
-
-  // Assemble the exact WindowSample MakeSample(t) would build, reading the
-  // ring buffer instead of the full series.
-  data::WindowSample sample;
-  sample.target_step = t;
-  sample.x = Tensor::Zeros({n, l});
-  sample.f = Tensor::Zeros({m, n, l});
-  sample.f_mu = Tensor::Zeros({m, n, l});
-  sample.f_sigma = Tensor::Zeros({m, n, l});
-  sample.target = Tensor::Zeros({n});
-  sample.w_next = Tensor::Zeros({m, n});
-  sample.w_next_mu = Tensor::Zeros({m, n});
-  sample.w_next_sigma = Tensor::Zeros({m, n});
-
-  // Ring rows are resolved once per step row, not per region: RingIndex
-  // is a 64-bit modulo, and per element it cost ~2 ms a step at N=10k.
-  float* px = sample.x.data();
-  for (int64_t j = 0; j < l; ++j) {
-    const int64_t base = RingIndex(t - l + j);
-    for (int r = 0; r < n; ++r) px[r * l + j] = ring_x_[base + r];
-  }
-  float* pf = sample.f.data();
-  float* pfm = sample.f_mu.data();
-  float* pfs = sample.f_sigma.data();
-  float* pwn = sample.w_next.data();
-  float* pwm = sample.w_next_mu.data();
-  float* pws = sample.w_next_sigma.data();
-  for (int64_t w = 0; w < m; ++w) {
-    const int64_t offset = t_day * (m - 1 - w);
-    const int64_t begin = t - offset - l;
-    for (int64_t j = 0; j < l; ++j) {
-      const int64_t base = RingIndex(begin + j);
-      for (int r = 0; r < n; ++r) {
-        const int64_t dst = (w * n + r) * l + j;
-        pf[dst] = ring_x_[base + r];
-        pfm[dst] = ring_mu_[base + r];
-        pfs[dst] = ring_sigma_[base + r];
-      }
-    }
-    // Step following window w. For the last window that is the target
-    // itself — unobserved, and unused by the no-grad sample path; it stays
-    // zero exactly as sample.target does.
-    if (offset > 0) {
-      const int64_t base = RingIndex(t - offset);
-      for (int r = 0; r < n; ++r) {
-        pwn[w * n + r] = ring_x_[base + r];
-        pwm[w * n + r] = ring_mu_[base + r];
-        pws[w * n + r] = ring_sigma_[base + r];
-      }
-    }
-  }
+  const data::WindowSample sample = data::AssembleWindowSample(
+      RingRows{*this}, geometry_, num_regions_, next_step_);
   return model_->PredictSampleInto(sample, out);
 }
 
@@ -423,7 +333,8 @@ void OnlinePredictor::MatchedMeanNextInto(std::vector<double>* out) const {
 }
 
 void OnlinePredictor::RecentMeanNextInto(std::vector<double>* out) const {
-  const double inv = 1.0 / static_cast<double>(options_.history_length);
+  const double inv =
+      1.0 / static_cast<double>(geometry_.options.history_length);
   out->resize(num_regions_);
   for (int r = 0; r < num_regions_; ++r) {
     (*out)[r] = std::max(0.0, window_sum_[r] * inv);
@@ -459,7 +370,8 @@ double OnlinePredictor::ExponentialRate(int region) const {
   EALGAP_CHECK_GE(region, 0);
   EALGAP_CHECK_LT(region, num_regions_);
   const double mean = std::max(
-      window_sum_[region] / static_cast<double>(options_.history_length),
+      window_sum_[region] /
+          static_cast<double>(geometry_.options.history_length),
       1e-12);
   return 1.0 / mean;
 }
@@ -469,14 +381,14 @@ Status OnlinePredictor::SaveState(const std::string& path) const {
   writer.Section("model").PutString(model_->name());
   writer.Section("geometry")
       .PutI64(num_regions_)
-      .PutI64(steps_per_day_)
-      .PutI64(options_.history_length)
-      .PutI64(options_.num_windows)
-      .PutI64(options_.norm_history);
+      .PutI64(geometry_.steps_per_day)
+      .PutI64(geometry_.options.history_length)
+      .PutI64(geometry_.options.num_windows)
+      .PutI64(geometry_.options.norm_history);
   writer.Section("stream")
-      .PutI64(start_date_.year)
-      .PutI64(start_date_.month)
-      .PutI64(start_date_.day)
+      .PutI64(geometry_.start_date.year)
+      .PutI64(geometry_.start_date.month)
+      .PutI64(geometry_.start_date.day)
       .PutI64(next_step_);
   // Ring and slot buffers go out in their in-memory layout: where step s
   // lives follows from next_step and the geometry, both saved above.
@@ -547,23 +459,23 @@ Result<OnlinePredictor> OnlinePredictor::LoadState(const std::string& path,
     EALGAP_RETURN_IF_ERROR(section.Finish());
   }
   p.num_regions_ = static_cast<int>(n);
-  p.steps_per_day_ = static_cast<int>(spd);
-  p.options_.history_length = static_cast<int>(l);
-  p.options_.num_windows = static_cast<int>(m);
-  p.options_.norm_history = static_cast<int>(nh);
-  p.window_span_ = spd * (m - 1) + l;
+  p.geometry_.steps_per_day = static_cast<int>(spd);
+  p.geometry_.options.history_length = static_cast<int>(l);
+  p.geometry_.options.num_windows = static_cast<int>(m);
+  p.geometry_.options.norm_history = static_cast<int>(nh);
+  p.window_span_ = p.geometry_.span();
   {
     EALGAP_ASSIGN_OR_RETURN(RecordSection section, reader.Section("stream"));
     int64_t year = 0, month = 0, day = 0;
     EALGAP_RETURN_IF_ERROR(section.ReadI64In("year", 1, 9999, &year));
     EALGAP_RETURN_IF_ERROR(section.ReadI64In("month", 1, 12, &month));
     EALGAP_RETURN_IF_ERROR(section.ReadI64In("day", 1, 31, &day));
-    p.start_date_ = {static_cast<int>(year), static_cast<int>(month),
-                     static_cast<int>(day)};
+    p.geometry_.start_date = {static_cast<int>(year), static_cast<int>(month),
+                              static_cast<int>(day)};
     EALGAP_RETURN_IF_ERROR(section.ReadI64("next_step", &p.next_step_));
     EALGAP_RETURN_IF_ERROR(section.Finish());
   }
-  if (p.next_step_ < p.MinFirstTarget()) {
+  if (p.next_step_ < p.geometry_.min_target_step()) {
     return Status::InvalidArgument("serve state has too little history");
   }
   {

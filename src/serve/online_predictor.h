@@ -9,7 +9,6 @@
 #include "common/aligned_alloc.h"
 #include "common/arena.h"
 #include "common/result.h"
-#include "common/time_util.h"
 #include "data/dataset.h"
 
 namespace ealgap {
@@ -70,17 +69,17 @@ struct GuardStats {
 ///  * per-(time-of-day, day-type) matched-statistic accumulators holding the
 ///    `norm_history` most recent same-slot observations, so Observe()
 ///    refreshes mu/sigma in O(norm_history) work per region — independent of
-///    stream length — using the exact summation order of
-///    SlidingWindowDataset::RefreshMatchedStats (bit-identical parity),
+///    stream length — through data::MatchedMoments, the dataset's kernel,
 ///  * a rolling per-region sum over the live L-window, giving an O(1)
 ///    refresh of the exponential MLE rate (lambda = L / sum) that the serve
 ///    tool reports as a drift diagnostic.
 ///
-/// PredictNext() assembles the same WindowSample MakeSample(next_step())
-/// would build and runs the model's sample path, so streaming predictions
-/// are bit-identical to the batch pipeline (asserted by
-/// tests/serve_parity_test.cc). tests also cover the SaveState/LoadState
-/// mid-stream checkpoint boundary and thread-count invariance.
+/// PredictNext() assembles its sample from the ring with
+/// data::AssembleWindowSample, the function MakeSample() calls, and runs
+/// the model's sample path, so streaming predictions are bit-identical to
+/// the batch pipeline (asserted by tests/serve_parity_test.cc, which also
+/// covers the SaveState/LoadState mid-stream checkpoint boundary and
+/// thread-count invariance).
 ///
 /// Memory substrate (DESIGN.md §8e): every per-step buffer lives in
 /// pre-sized aligned storage — the ring buffers and the flattened slot
@@ -199,30 +198,27 @@ class OnlinePredictor {
  private:
   OnlinePredictor() = default;
 
+  /// The ring as a step-row source for data::AssembleWindowSample.
+  struct RingRows;
+
   /// Ring slot of step s (valid while next_step_ - W <= s < next_step_).
   int64_t RingIndex(int64_t s) const { return (s % window_span_) * num_regions_; }
-  bool IsWeekendStep(int64_t s) const;
-  int64_t MinFirstTarget() const;
-  int SlotIndex(int64_t s) const {
-    return static_cast<int>(s % steps_per_day_) * 2 +
-           (IsWeekendStep(s) ? 1 : 0);
-  }
 
   // --- flattened matched-statistic accumulator -----------------------------
-  // slot_data_ holds 2T circular slots of up to norm_history rows of N
-  // floats each, in one aligned block: row j of slot i lives at
-  // slot_data_[(i * norm_history + j) * N]. slot_head_[i]/slot_count_[i]
-  // give the circular window; ages are resolved by SlotRowNewest /
-  // SlotRowOldest so the summation orders of the nested-vector
-  // implementation are preserved bit-for-bit.
+  // slot_data_ holds 2T circular slots (data::StepCalendar::MatchedSlot) of
+  // up to norm_history rows of N floats each, in one aligned block: row j
+  // of slot i lives at slot_data_[(i * norm_history + j) * N].
+  // slot_head_[i]/slot_count_[i] give the circular window; SlotRowNewest
+  // feeds data::MatchedMoments newest first, and SlotRowOldest gives the
+  // imputation mean its oldest-first order.
   const float* SlotRowNewest(int slot, int k) const {
-    const int nh = options_.norm_history;
+    const int nh = geometry_.options.norm_history;
     const int idx = (slot_head_[slot] + slot_count_[slot] - 1 - k + nh) % nh;
     return slot_data_.data() + (static_cast<int64_t>(slot) * nh + idx) *
                                    num_regions_;
   }
   const float* SlotRowOldest(int slot, int j) const {
-    const int nh = options_.norm_history;
+    const int nh = geometry_.options.norm_history;
     const int idx = (slot_head_[slot] + j) % nh;
     return slot_data_.data() + (static_cast<int64_t>(slot) * nh + idx) *
                                    num_regions_;
@@ -238,11 +234,6 @@ class OnlinePredictor {
   /// allocates nothing.
   void InitScratch();
 
-  /// Computes mu/sigma rows for step s from x_row and the slot accumulator,
-  /// mirroring SlidingWindowDataset::RefreshMatchedStats bit-for-bit.
-  void MatchedStats(int64_t s, const std::vector<float>& x_row,
-                    std::vector<float>* mu_row,
-                    std::vector<float>* sigma_row) const;
   /// Matched same-slot mean of region r at step s (prior observations
   /// only), or the hold-last value when the slot is empty.
   float SlotMeanOrHold(int64_t s, int r) const;
@@ -257,11 +248,9 @@ class OnlinePredictor {
   Forecaster* model_ = nullptr;  // not owned
 
   // Stream geometry/calendar (copied from the seed dataset).
-  data::DatasetOptions options_;
+  data::WindowGeometry geometry_;
   int num_regions_ = 0;
-  int steps_per_day_ = 24;
-  CivilDate start_date_;
-  int64_t window_span_ = 0;  ///< W = T*(M-1) + L ring capacity in steps
+  int64_t window_span_ = 0;  ///< geometry_.span(), the ring capacity in steps
   int64_t next_step_ = 0;    ///< first unobserved step
 
   // Ring buffers over the last W steps; slot (s % W) holds step s's rows.
@@ -278,11 +267,9 @@ class OnlinePredictor {
 
   // Member scratch rows (pre-sized; never reallocated in steady state).
   std::vector<float> scratch_x_, scratch_mu_, scratch_sigma_, scratch_synth_;
-  /// Scratch for MatchedStats' resolved slot-row pointers (norm_history
-  /// entries); mutable because const stat readers share it. Predictors are
-  /// single-stream objects (PredictMany fans out across predictors, never
-  /// within one), so unsynchronized scratch is safe.
-  mutable std::vector<const float*> slot_rows_;
+  /// Scratch for the row pointers ObserveRow hands data::MatchedMoments:
+  /// the new row, then up to norm_history slot rows.
+  std::vector<const float*> slot_rows_;
 
   /// Per-predictor scratch arena: every tensor and autograd node of a
   /// PredictNextInto forward lands here and is rewound when the call

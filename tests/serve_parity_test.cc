@@ -11,10 +11,12 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/arena.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/ealgap.h"
@@ -511,6 +513,105 @@ TEST_F(ServeParityTest, BuiltStackRestoresFromStateOrSeeds) {
   ASSERT_TRUE(seeded.ok()) << seeded.status().ToString();
   EXPECT_FALSE(seeded->restored);
   EXPECT_EQ(seeded->online->next_step(), split_->test_begin);
+}
+
+// A streaming forecaster that predicts zeros and keeps a heap clone of the
+// last sample it was handed, cloned under a heap ArenaScope as
+// serve::AdaptivePredictor clones its pending sample.
+class SampleCapture : public Forecaster {
+ public:
+  std::string name() const override { return "SampleCapture"; }
+  Status Fit(const data::SlidingWindowDataset&, const data::StepRanges&,
+             const TrainConfig&) override {
+    return Status::OK();
+  }
+  Result<std::vector<double>> Predict(const data::SlidingWindowDataset&,
+                                      int64_t) override {
+    return Status::NotImplemented("SampleCapture only serves samples");
+  }
+  bool SupportsStreaming() const override { return true; }
+  Status PredictSampleInto(const data::WindowSample& sample,
+                           std::vector<double>* out) override {
+    {
+      ArenaScope heap(nullptr);
+      last.x = sample.x.Clone();
+      last.f = sample.f.Clone();
+      last.f_mu = sample.f_mu.Clone();
+      last.f_sigma = sample.f_sigma.Clone();
+      last.w_next = sample.w_next.Clone();
+      last.w_next_mu = sample.w_next_mu.Clone();
+      last.w_next_sigma = sample.w_next_sigma.Clone();
+      last.target_step = sample.target_step;
+    }
+    out->assign(sample.x.dim(0), 0.0);
+    return Status::OK();
+  }
+
+  data::WindowSample last;
+};
+
+// The first `count` floats of a and b hold the same bits.
+bool SameFloats(const Tensor& a, const Tensor& b, int64_t count) {
+  return a.numel() >= count && b.numel() >= count &&
+         std::memcmp(a.data(), b.data(), count * sizeof(float)) == 0;
+}
+
+// Replays [begin, end) through `predictor` and requires every sample the
+// ring fills to equal MakeSample's: the windows and their statistics in
+// full, and the Eq. 10 next-step rows of every window but the last (whose
+// next step is the unobserved target).
+void ExpectRingSamplesMatchDataset(const data::SlidingWindowDataset& dataset,
+                                   OnlinePredictor* predictor,
+                                   const SampleCapture& capture, int64_t end) {
+  for (int64_t step = predictor->next_step(); step < end; ++step) {
+    ASSERT_TRUE(predictor->PredictNext().ok());
+    const data::WindowSample& ring = capture.last;
+    const data::WindowSample batch = dataset.MakeSample(step);
+    ASSERT_EQ(ring.target_step, step);
+    for (auto [name, a, b] :
+         {std::tuple{"x", &ring.x, &batch.x}, {"f", &ring.f, &batch.f},
+          {"f_mu", &ring.f_mu, &batch.f_mu},
+          {"f_sigma", &ring.f_sigma, &batch.f_sigma}}) {
+      ASSERT_EQ(a->shape(), b->shape()) << name << " at step " << step;
+      ASSERT_TRUE(SameFloats(*a, *b, b->numel()))
+          << name << " differs at step " << step;
+    }
+    const int64_t observed = (batch.w_next.dim(0) - 1) * batch.w_next.dim(1);
+    for (auto [name, a, b] :
+         {std::tuple{"w_next", &ring.w_next, &batch.w_next},
+          {"w_next_mu", &ring.w_next_mu, &batch.w_next_mu},
+          {"w_next_sigma", &ring.w_next_sigma, &batch.w_next_sigma}}) {
+      ASSERT_EQ(a->shape(), b->shape()) << name << " at step " << step;
+      ASSERT_TRUE(SameFloats(*a, *b, observed))
+          << name << " differs at step " << step;
+    }
+    ASSERT_TRUE(predictor->Observe(StepTruth(dataset, step)).ok());
+  }
+}
+
+// Prediction parity cannot see the w_next rows (the no-grad forward never
+// reads them), yet adaptive micro-fits train on them through the Eq. 10
+// degree loss. So compare the samples themselves, over a clean replay and
+// across a SaveState/LoadState boundary.
+TEST_F(ServeParityTest, RingSamplesMatchDatasetSamplesBitExact) {
+  SampleCapture capture;
+  auto clean = OnlinePredictor::Create(&capture, *dataset_, split_->test_begin);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ExpectRingSamplesMatchDataset(*dataset_, &*clean, capture, split_->test_end);
+  if (HasFatalFailure()) return;
+
+  const std::string state = ::testing::TempDir() + "/capture_serve.state";
+  auto live = OnlinePredictor::Create(&capture, *dataset_, split_->test_begin);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ExpectRingSamplesMatchDataset(*dataset_, &*live, capture,
+                                split_->test_begin + 50);
+  if (HasFatalFailure()) return;
+  ASSERT_TRUE(live->SaveState(state).ok());
+  auto restored = OnlinePredictor::LoadState(state, &capture);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_EQ(restored->next_step(), split_->test_begin + 50);
+  ExpectRingSamplesMatchDataset(*dataset_, &*restored, capture,
+                                split_->test_end);
 }
 
 TEST_F(ServeParityTest, CreateRejectsBadArgumentsAndModels) {
